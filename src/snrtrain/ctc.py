@@ -1,10 +1,19 @@
 """CTC loss, gradient, and best-path decoding over a character alphabet.
 
 The loss is the negative log probability of all frame-level alignments
-(with blanks) that collapse to the target sequence, computed with a
-log-space forward recursion over the blank-extended target. The gradient
-is taken with respect to pre-softmax logits, so its rows sum to zero.
-Blank occupies the last output index.
+(with blanks) that collapse to the target sequence. It is computed in log
+space by one forward (alpha) and one backward (beta) recursion over the
+blank-extended target; the state posterior gamma comes from that same
+alpha and beta. The gradient is taken with respect to pre-softmax logits,
+so its rows sum to zero. Blank occupies the last output index.
+
+A training batch is scored in one pass: `ctc_loss_and_grad` takes log-probs
+padded to (T, B, K) with K = symbols + 1, the frame count T_i of each item
+and each item's label list. The blank-extended targets are padded to the
+longest, 2 * len(labels) + 1 states. Padded states and frames t >= T_i
+emit -inf, so padding never feeds a real item and the values held in
+padded frames do not matter. Each item's loss and gradient equal those of
+scoring it alone; the single-sequence functions are that call with B = 1.
 """
 
 from __future__ import annotations
@@ -52,16 +61,6 @@ class LabelAlphabet:
         return [self.symbols[i] for i in indices]
 
 
-def _check_log_probs(log_probs: np.ndarray) -> np.ndarray:
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    if log_probs.ndim != 2 or log_probs.shape[0] < 1 or log_probs.shape[1] < 2:
-        raise DataError(f"log-prob sequence must be (T, symbols+1), got {log_probs.shape}")
-    row_mass = np.logaddexp.reduce(log_probs, axis=1)
-    if np.any(np.abs(row_mass) > 1e-6):
-        raise DataError("log-prob rows must normalize to 1 (log-sum-exp 0 +/- 1e-6)")
-    return log_probs
-
-
 def _check_labels(labels, num_outputs: int) -> list[int]:
     labels = [int(y) for y in labels]
     blank = num_outputs - 1
@@ -77,22 +76,108 @@ def ctc_feasible(num_frames: int, labels) -> bool:
     return num_frames >= len(labels) + repeats
 
 
-def _extended(labels: list[int], blank: int) -> np.ndarray:
-    z = np.full(2 * len(labels) + 1, blank, dtype=np.int64)
-    z[1::2] = labels
-    return z
+def _posteriors(log_probs, lengths, labels):
+    """Per-item losses (+inf when no alignment has nonzero probability)
+    and padded occupancy gamma.
+
+    gamma has shape (T, B, K + 1): column K collects the padded states, and
+    rows t >= T_i of item i, like every row of an item with an infinite
+    loss, are not meaningful.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    if log_probs.ndim != 3 or log_probs.shape[1] < 1 or log_probs.shape[2] < 2:
+        raise DataError(f"log-probs must be (T, batch, symbols+1), got {log_probs.shape}")
+    max_t, batch, num_outputs = log_probs.shape
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (batch,) or len(labels) != batch
+            or np.any(lengths < 1) or np.any(lengths > max_t)):
+        raise DataError(f"need one frame count in [1, {max_t}] and one label "
+                        f"list per item, got {lengths} and {len(labels)} lists")
+    lengths = lengths.astype(np.int64)
+    labels = [_check_labels(y, num_outputs) for y in labels]
+    valid = np.arange(max_t)[:, None] < lengths
+    row_mass = np.logaddexp.reduce(log_probs[valid], axis=1)
+    if np.any(np.abs(row_mass) > 1e-6):
+        raise DataError("log-prob rows must normalize to 1 (log-sum-exp 0 +/- 1e-6)")
+
+    # blank-extended targets; padded states read column K, which is -inf
+    blank = num_outputs - 1
+    ext = np.array([2 * len(y) + 1 for y in labels])
+    states = int(ext.max())
+    z = np.full((batch, states), num_outputs)
+    for i, y in enumerate(labels):
+        z[i, : ext[i]] = blank
+        z[i, 1 : ext[i] : 2] = y
+    # a skip z[s-2] -> z[s] is legal when z[s] is a fresh non-blank label
+    skip_ok = np.zeros((batch, states), dtype=bool)
+    skip_ok[:, 2:] = (z[:, 2:] < blank) & (z[:, 2:] != z[:, :-2])
+    skip_from = np.zeros_like(skip_ok)
+    skip_from[:, :-2] = skip_ok[:, 2:]
+
+    # frames past T_i emit -inf too, whatever they hold (nan and inf too)
+    padded = np.full((max_t, batch, num_outputs + 1), NEG_INF)
+    padded[:, :, :num_outputs] = np.where(valid[:, :, None], log_probs, NEG_INF)
+    items = np.arange(batch)
+    emit = padded[:, items[:, None], z]
+
+    # alpha: two leading -inf columns stand for the states before s = 0
+    alpha = np.full((max_t, batch, states + 2), NEG_INF)
+    alpha[0, :, 2:4] = emit[0, :, :2]
+    for t in range(1, max_t):
+        prev = alpha[t - 1]
+        acc = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
+        acc = np.where(skip_ok, np.logaddexp(acc, prev[:, :-2]), acc)
+        alpha[t, :, 2:] = emit[t] + acc
+    alpha = alpha[:, :, 2:]
+
+    last = alpha[lengths - 1, items]
+    tail = last[items, ext - 1]
+    tail = np.where(ext > 1, np.logaddexp(tail, last[items, np.maximum(ext - 2, 0)]),
+                    tail)
+
+    # beta[t, s]: log mass of completing from s at frame t, emission at t
+    # included. It starts at each item's last frame from its final two states.
+    final = np.arange(states) >= (ext - 2)[:, None]
+    starts = final & (np.arange(max_t)[:, None, None] == lengths[:, None] - 1)
+    beta = np.full((max_t + 1, batch, states + 2), NEG_INF)
+    for t in range(max_t - 1, -1, -1):
+        nxt = beta[t + 1]
+        acc = np.logaddexp(nxt[:, :-2], nxt[:, 1:-1])
+        acc = np.where(skip_from, np.logaddexp(acc, nxt[:, 2:]), acc)
+        beta[t, :, :-2] = np.where(starts[t], emit[t], emit[t] + acc)
+    beta = beta[:max_t, :, :-2]
+
+    # padded states, frames past T_i and items without an alignment give
+    # nan; they land in column K, in rows past T_i or in a dropped item
+    with np.errstate(invalid="ignore"):
+        occupancy = alpha + beta - emit - tail[:, None]
+    gamma = np.zeros_like(padded)
+    np.add.at(gamma, (slice(None), items[:, None], z), np.exp(occupancy))
+    return -tail, gamma
 
 
-def _shift(row: np.ndarray, by: int) -> np.ndarray:
-    out = np.full_like(row, NEG_INF)
-    out[by:] = row[:-by]
-    return out
+def ctc_loss_and_grad(log_probs, lengths, labels):
+    """Losses and logit gradients of a padded batch in one pass.
+
+    log_probs is (T, B, K), lengths the B frame counts and labels the B
+    label lists. Returns the (B,) losses, +inf for an item with no
+    alignment, and a list of B (T_i, K) gradients, None where the loss is
+    not finite.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    losses, gamma = _posteriors(log_probs, lengths, labels)
+    num_outputs = log_probs.shape[2]
+    grads = [np.exp(log_probs[:n, i]) - gamma[:n, i, :num_outputs]
+             if math.isfinite(loss) else None
+             for i, (n, loss) in enumerate(zip(lengths, losses))]
+    return losses, grads
 
 
-def _shift_back(row: np.ndarray, by: int) -> np.ndarray:
-    out = np.full_like(row, NEG_INF)
-    out[:-by] = row[by:]
-    return out
+def _single(log_probs: np.ndarray) -> np.ndarray:
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    if log_probs.ndim != 2 or log_probs.shape[0] < 1 or log_probs.shape[1] < 2:
+        raise DataError(f"log-prob sequence must be (T, symbols+1), got {log_probs.shape}")
+    return log_probs[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -101,85 +186,36 @@ class CtcForward:
 
     loss: float
     feasible: bool
-    log_alpha: np.ndarray | None
 
 
 def ctc_forward(log_probs: np.ndarray, labels) -> CtcForward:
-    log_probs = _check_log_probs(log_probs)
-    num_frames, num_outputs = log_probs.shape
-    labels = _check_labels(labels, num_outputs)
-    if not ctc_feasible(num_frames, labels):
-        return CtcForward(math.inf, False, None)
-
-    blank = num_outputs - 1
-    z = _extended(labels, blank)
-    ext = z.size
-    # a skip z[s-2] -> z[s] is legal when z[s] is a fresh non-blank label
-    skip_ok = np.zeros(ext, dtype=bool)
-    if ext > 2:
-        skip_ok[2:] = (z[2:] != blank) & (z[2:] != z[:-2])
-
-    log_alpha = np.full((num_frames, ext), NEG_INF)
-    log_alpha[0, 0] = log_probs[0, z[0]]
-    if ext > 1:
-        log_alpha[0, 1] = log_probs[0, z[1]]
-    for t in range(1, num_frames):
-        prev = log_alpha[t - 1]
-        acc = np.logaddexp(prev, _shift(prev, 1))
-        skip = _shift(prev, 2)
-        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        log_alpha[t] = log_probs[t, z] + acc
-
-    tail = log_alpha[-1, -1]
-    if ext > 1:
-        tail = np.logaddexp(tail, log_alpha[-1, -2])
-    return CtcForward(float(-tail), True, log_alpha)
+    loss = ctc_loss(log_probs, labels)
+    return CtcForward(loss, ctc_feasible(len(log_probs), labels))
 
 
 def ctc_loss(log_probs: np.ndarray, labels) -> float:
     """Negative log-likelihood; +inf when no alignment exists."""
-    return ctc_forward(log_probs, labels).loss
+    log_probs = _single(log_probs)
+    losses, _ = _posteriors(log_probs, [log_probs.shape[0]], [labels])
+    return float(losses[0])
 
 
 def ctc_posterior(log_probs: np.ndarray, labels) -> np.ndarray:
     """Per-frame symbol occupancy gamma, shape like log_probs; rows sum to 1."""
-    forward = ctc_forward(log_probs, labels)
-    if not forward.feasible:
+    log_probs = _single(log_probs)
+    losses, gamma = _posteriors(log_probs, [log_probs.shape[0]], [labels])
+    if not math.isfinite(losses[0]):
         raise DataError("no feasible alignment: target too long for frame count")
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    num_frames, num_outputs = log_probs.shape
-    blank = num_outputs - 1
-    labels = _check_labels(labels, num_outputs)
-    z = _extended(labels, blank)
-    ext = z.size
-    skip_ok = np.zeros(ext, dtype=bool)
-    if ext > 2:
-        skip_ok[2:] = (z[2:] != blank) & (z[2:] != z[:-2])
-    # beta[t, s]: log mass of completing from s at frame t, emission at t included
-    log_beta = np.full((num_frames, ext), NEG_INF)
-    log_beta[-1, -1] = log_probs[-1, z[-1]]
-    if ext > 1:
-        log_beta[-1, -2] = log_probs[-1, z[-2]]
-    for t in range(num_frames - 2, -1, -1):
-        nxt = log_beta[t + 1]
-        acc = np.logaddexp(nxt, _shift_back(nxt, 1))
-        skip = _shift_back(nxt, 2)
-        from_here = np.zeros(ext, dtype=bool)
-        from_here[:-2] = skip_ok[2:]
-        acc = np.where(from_here, np.logaddexp(acc, skip), acc)
-        log_beta[t] = log_probs[t, z] + acc
-
-    log_total = -forward.loss
-    occupancy = forward.log_alpha + log_beta - log_probs[:, z] - log_total
-    gamma = np.zeros_like(log_probs)
-    np.add.at(gamma, (slice(None), z), np.exp(occupancy))
-    return gamma
+    return gamma[:, 0, : log_probs.shape[2]]
 
 
 def ctc_grad(log_probs: np.ndarray, labels) -> np.ndarray:
     """d(loss)/d(logits) under log_probs = log_softmax(logits); rows sum to 0."""
-    gamma = ctc_posterior(log_probs, labels)
-    return np.exp(np.asarray(log_probs, dtype=np.float64)) - gamma
+    log_probs = _single(log_probs)
+    _, grads = ctc_loss_and_grad(log_probs, [log_probs.shape[0]], [labels])
+    if grads[0] is None:
+        raise DataError("no feasible alignment: target too long for frame count")
+    return grads[0]
 
 
 def best_path_decode(log_probs: np.ndarray) -> list[int]:

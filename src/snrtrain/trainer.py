@@ -20,7 +20,7 @@ import numpy as np
 from . import pem
 from .audio import NoisePool, mix_at_snr, sample_segment_offset, segment_at
 from .audio import CLEAN
-from .ctc import LabelAlphabet, best_path_decode, ctc_forward, ctc_grad
+from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Schedule, StageController, sample_snr
 from .errors import ComputeError, DataError
 from .features import (NormStats, featurize_waveform, normalize,
@@ -253,16 +253,20 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
             batch_ids = [train_corpus[i].utt_id for i in order[start : start + config.batch_size]]
             feats = [data.features_for(utt_id).astype(np.float64) for utt_id in batch_ids]
             outputs, cache = model.forward_batch(feats, train=True, rng=drop_rng)
-            dlogits = []
-            for utt_id, log_probs in zip(batch_ids, outputs):
-                forward = ctc_forward(log_probs, encoded[utt_id])
-                if not math.isfinite(forward.loss):
+            lengths = [len(o) for o in outputs]
+            log_probs = np.zeros((max(lengths), len(outputs), outputs[0].shape[1]))
+            for i, o in enumerate(outputs):
+                log_probs[: lengths[i], i] = o
+            losses, dlogits = ctc_loss_and_grad(
+                log_probs, lengths, [encoded[utt_id] for utt_id in batch_ids])
+            for utt_id, loss in zip(batch_ids, losses.tolist()):
+                if not math.isfinite(loss):
                     raise ComputeError(
                         f"non-finite CTC loss at epoch {epoch_index}, "
                         f"utterance {utt_id!r}")
-                total_loss += forward.loss
-                dlogits.append(ctc_grad(log_probs, encoded[utt_id]) / len(batch_ids))
-            grads = model.backward_batch(cache, dlogits)
+                total_loss += loss
+            grads = model.backward_batch(
+                cache, [g / len(batch_ids) for g in dlogits])
             adam_step(model.params, grads, adam,
                       learning_rate=config.learning_rate, beta1=config.beta1,
                       beta2=config.beta2, eps=config.adam_eps)

@@ -79,6 +79,53 @@ def brute_force_ctc_posterior(log_probs, labels) -> np.ndarray:
     return gamma / total
 
 
+def loop_ctc_loss_and_grad(log_probs, labels):
+    """Loss and logit gradient of one sequence by scalar loops over frames
+    and extended-target states; the gradient is None when no alignment
+    exists. Each value goes through the same floating-point operations as
+    the vectorized recursion, so the two agree bit for bit."""
+    num_frames, num_outputs = log_probs.shape
+    blank = num_outputs - 1
+    z = [blank]
+    for y in labels:
+        z += [int(y), blank]
+    ext = len(z)
+    emit = log_probs[:, z]
+
+    def skip_into(s):
+        return s >= 2 and z[s] != blank and z[s] != z[s - 2]
+
+    alpha = np.full((num_frames, ext), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, num_frames):
+        for s in range(ext):
+            acc = np.logaddexp(alpha[t - 1, s],
+                               alpha[t - 1, s - 1] if s >= 1 else -np.inf)
+            if skip_into(s):
+                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
+            alpha[t, s] = emit[t, s] + acc
+    total = alpha[-1, -1]
+    if ext > 1:
+        total = np.logaddexp(total, alpha[-1, -2])
+    if total == -np.inf:
+        return math.inf, None
+
+    beta = np.full((num_frames, ext), -np.inf)
+    beta[-1, -2:] = emit[-1, -2:]
+    for t in range(num_frames - 2, -1, -1):
+        for s in range(ext):
+            acc = np.logaddexp(beta[t + 1, s],
+                               beta[t + 1, s + 1] if s + 1 < ext else -np.inf)
+            if s + 2 < ext and skip_into(s + 2):
+                acc = np.logaddexp(acc, beta[t + 1, s + 2])
+            beta[t, s] = emit[t, s] + acc
+    occupancy = np.exp(alpha + beta - emit - total)
+    gamma = np.zeros_like(log_probs)
+    for s in range(ext):
+        gamma[:, z[s]] += occupancy[:, s]
+    return float(-total), np.exp(log_probs) - gamma
+
+
 def recursive_edit_distance(a, b) -> int:
     """Memoized top-down Levenshtein, unit costs."""
     a, b = tuple(a), tuple(b)

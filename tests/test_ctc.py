@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 import helpers
 from snrtrain.ctc import (LabelAlphabet, best_path_decode, ctc_feasible,
-                          ctc_forward, ctc_grad, ctc_loss, ctc_posterior)
+                          ctc_forward, ctc_grad, ctc_loss, ctc_loss_and_grad,
+                          ctc_posterior)
 from snrtrain.errors import DataError
 
 
@@ -182,6 +183,93 @@ class TestGrad:
         g01 = ctc_grad(lp, [0, 1])
         g10 = ctc_grad(lp, [1, 0])
         np.testing.assert_allclose(g01[:, [1, 0, 2]], g10, atol=1e-12)
+
+
+def ragged_batch(rng, batch, num_outputs, max_t):
+    """Padded (T, B, K) log-probs whose padded frames hold arbitrary,
+    unnormalised values (nan and +/-inf among them), with ragged lengths and
+    random label lists."""
+    lengths = rng.integers(1, max_t + 1, size=batch)
+    lengths[rng.integers(batch)] = max_t
+    log_probs = rng.normal(0.0, 30.0, size=(max_t, batch, num_outputs))
+    log_probs.flat[rng.integers(log_probs.size, size=3)] = [np.nan, np.inf, -np.inf]
+    for i, n in enumerate(lengths):
+        log_probs[:n, i] = random_log_probs(rng, n, num_outputs)
+    labels = [[int(v) for v in rng.integers(0, num_outputs - 1,
+                                            size=int(rng.integers(0, 4)))]
+              for _ in range(batch)]
+    labels[0] = []
+    labels[-1] = [0, 0]
+    if batch >= 3:
+        # one label per frame plus one cannot align: infeasible mid-batch
+        middle = batch // 2
+        labels[middle] = [k % (num_outputs - 1)
+                          for k in range(int(lengths[middle]) + 1)]
+    return log_probs, lengths, labels
+
+
+class TestBatch:
+    def test_items_equal_single_calls_and_enumeration(self):
+        rng = np.random.default_rng(17)
+        for batch in range(1, 17):
+            num_outputs = int(rng.integers(2, 5))
+            max_t = int(rng.integers(1, 7))
+            log_probs, lengths, labels = ragged_batch(rng, batch, num_outputs,
+                                                      max_t)
+            losses, grads = ctc_loss_and_grad(log_probs, lengths, labels)
+            assert losses.shape == (batch,) and len(grads) == batch
+            for i, (n, y) in enumerate(zip(lengths, labels)):
+                alone = log_probs[:n, i]
+                one_loss, one_grad = ctc_loss_and_grad(alone[:, None], [n], [y])
+                assert losses[i] == one_loss[0] == ctc_loss(alone, y)
+                reference = helpers.brute_force_ctc_loss(alone, y)
+                if not ctc_feasible(n, y):
+                    assert math.isinf(reference) and math.isinf(losses[i])
+                    assert grads[i] is None and one_grad[0] is None
+                    continue
+                assert grads[i].shape == (n, num_outputs)
+                assert np.array_equal(grads[i], one_grad[0])
+                assert np.array_equal(grads[i], ctc_grad(alone, y))
+                assert losses[i] == pytest.approx(reference, abs=1e-9)
+                gamma = helpers.brute_force_ctc_posterior(alone, y)
+                np.testing.assert_allclose(grads[i], np.exp(alone) - gamma,
+                                           atol=1e-9)
+
+    def test_long_items_equal_scalar_loops(self):
+        rng = np.random.default_rng(19)
+        for batch in (2, 7, 16):
+            log_probs, lengths, labels = ragged_batch(rng, batch, 6, 40)
+            losses, grads = ctc_loss_and_grad(log_probs, lengths, labels)
+            for i, (n, y) in enumerate(zip(lengths, labels)):
+                loss, grad = helpers.loop_ctc_loss_and_grad(log_probs[:n, i], y)
+                assert losses[i] == loss
+                assert (grads[i] is None) == (grad is None)
+                if grad is not None:
+                    assert np.array_equal(grads[i], grad)
+
+    def test_normalisation_checked_on_valid_frames_only(self):
+        rng = np.random.default_rng(31)
+        lengths = [5, 2, 4, 3]
+        log_probs = rng.normal(0.0, 30.0, size=(5, 4, 3))
+        for i, n in enumerate(lengths):
+            log_probs[:n, i] = random_log_probs(rng, n, 3)
+        labels = [[0], [1], [0, 1], []]
+        losses, _ = ctc_loss_and_grad(log_probs, lengths, labels)
+        assert np.all(np.isfinite(losses))
+        for item, frame in ((0, 0), (1, 1), (2, 3), (3, 2)):
+            bad = log_probs.copy()
+            bad[frame, item, 0] += 1e-3
+            with pytest.raises(DataError, match="normalize"):
+                ctc_loss_and_grad(bad, lengths, labels)
+
+    def test_malformed_batch_rejected(self):
+        lp = random_log_probs(np.random.default_rng(0), 3, 3)[:, None]
+        for lengths, labels in (([0], [[0]]), ([4], [[0]]), ([3, 3], [[0]]),
+                                ([3], [[0], [1]]), ([3], [[2]])):
+            with pytest.raises(DataError):
+                ctc_loss_and_grad(lp, lengths, labels)
+        with pytest.raises(DataError):
+            ctc_loss_and_grad(lp[:, 0], [3], [[0]])
 
 
 class TestDecode:

@@ -53,6 +53,39 @@ def test_training_log_is_reproducible(tiny_setup):
     assert [m.records for m in a.manifests] == [m.records for m in b.manifests]
 
 
+# train_log lines and best_hash of the tiny runs, recorded with the earlier
+# per-utterance CTC recursion: a change to the arithmetic of training (CTC,
+# model, Adam, data generation) shows up here as a changed line or hash
+GOLDEN_RUNS = {
+    ("multicondition", 2, 4): ("b0b51fd88901a4fa", (
+        "1\t0\t71.753189\t582.6087\tcontinue",
+        "2\t0\t65.766454\t426.0870\tcontinue",
+        "3\t0\t56.994253\t282.6087\tcontinue",
+        "4\t0\t59.140693\t226.0870\tterminate",
+    )),
+    ("accan", 1, 8): ("23cebf29325cef8f", (
+        "1\t0\t71.617372\t604.3478\tcontinue",
+        "2\t0\t69.734195\t578.2609\tcontinue",
+        "3\t0\t68.348842\t569.5652\tcontinue",
+        "4\t0\t64.455818\t552.1739\tcontinue",
+        "5\t0\t62.477648\t530.4348\tcontinue",
+        "6\t0\t59.119083\t504.3478\tcontinue",
+        "7\t0\t59.267919\t504.3478\tswitch_stage",
+        "8\t1\t57.100659\t500.0000\tterminate",
+    )),
+}
+
+
+@pytest.mark.parametrize("kind,patience,max_epochs", sorted(GOLDEN_RUNS))
+def test_tiny_run_matches_golden(tiny_setup, kind, patience, max_epochs):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule(kind, patience=patience, max_epochs=max_epochs)
+    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+    best_hash, log_lines = GOLDEN_RUNS[kind, patience, max_epochs]
+    assert tuple(result.log_lines) == log_lines
+    assert result.best_hash == best_hash
+
+
 def test_overlapped_equals_sequential_training(tiny_setup):
     train_corpus, dev_corpus, pool = tiny_setup
     schedule = Schedule("accan", patience=1, max_epochs=8)
