@@ -23,7 +23,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hidden-size", type=int, default=64)
     parser.add_argument("--patience", type=int, default=3)
     parser.add_argument("--learning-rate", type=float, default=2e-3)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     spec = ComparisonSpec(
@@ -34,7 +33,6 @@ def main(argv=None) -> int:
         seeds=tuple(int(s) for s in args.seeds.split(",")),
         patience=args.patience,
         learning_rate=args.learning_rate,
-        workers=args.workers,
     )
     start = time.time()
     result = run_comparison(spec, progress=print)

@@ -169,25 +169,34 @@ def load_run_config(path) -> dict:
     return config
 
 
+# the TrainConfig fields an experiment file may set, by section; the rest
+# keep TrainConfig's defaults
+_CONFIG_KEYS = {
+    "trainer": {"learning_rate": float, "batch_size": int, "dropout": float,
+                "hidden_size": int, "overlap_generation": bool},
+    "features": {"gauss_sigma": float},
+}
+
+
+def _train_config(config: dict) -> trainer.TrainConfig:
+    settings = {}
+    for section, keys in _CONFIG_KEYS.items():
+        for key, value in config.get(section, {}).items():
+            if key not in keys:
+                raise DataError(f"unknown key {key!r} in the {section!r} section; "
+                                f"expected one of {', '.join(keys)}")
+            settings[key] = keys[key](value)
+    return trainer.TrainConfig(master_seed=int(config["master_seed"]), **settings)
+
+
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
+    train_config = _train_config(config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     train_corpus, dev_corpus = _corpus_from_config(config["corpus"], base_dir)
     sample_rate = train_corpus[0].waveform.sample_rate_hz
     pool = _pool_from_config(config["noise"], base_dir, sample_rate)
     schedule = _schedule_from_config(config["schedule"], base_dir)
-    section = config.get("trainer", {})
-    train_config = trainer.TrainConfig(
-        master_seed=int(config["master_seed"]),
-        learning_rate=float(section.get("learning_rate", 1e-3)),
-        batch_size=int(section.get("batch_size", 16)),
-        dropout=float(section.get("dropout", 0.3)),
-        hidden_size=int(section.get("hidden_size", 64)),
-        gauss_sigma=float(config.get("features", {}).get("gauss_sigma", 0.6)),
-        overlap_generation=bool(section.get("overlap_generation", True)),
-        workers=args.workers,
-        materialize_features=bool(section.get("materialize_features", False)),
-    )
     out_dir = config["out_dir"]
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
@@ -283,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training experiment from a config")
     p_train.add_argument("--config", required=True, metavar="JSON")
-    p_train.add_argument("--workers", type=int, default=1,
-                         help="intra-epoch generation parallelism")
     p_train.add_argument("--stop-after", type=int, default=None, metavar="N",
                          help="checkpoint and exit after N epochs (resume later)")
     p_train.set_defaults(func=cmd_train)

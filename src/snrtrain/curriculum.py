@@ -94,6 +94,17 @@ class Decision(enum.Enum):
     TERMINATE = "terminate"
 
 
+@dataclass(frozen=True)
+class EpochRecord:
+    """One controller step: the epoch's number, the stage it trained in, its
+    exact dev WER and the decision taken after it."""
+
+    epoch: int
+    stage: int
+    dev_wer: float
+    decision: Decision
+
+
 @dataclass
 class StageController:
     """Sequential state machine driving stage switches from dev WER.
@@ -110,7 +121,7 @@ class StageController:
     epochs_since_improvement: int = 0
     epoch_counter: int = 0
     best_checkpoint: object = None
-    log_lines: list = field(default_factory=list)
+    records: list = field(default_factory=list)
     _stages: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -153,9 +164,8 @@ class StageController:
         else:
             decision = Decision.CONTINUE
 
-        self.log_lines.append(
-            f"{self.epoch_counter}\t{stage_at_eval}\t{dev_wer:.4f}\t{decision.value}"
-        )
+        self.records.append(
+            EpochRecord(self.epoch_counter, stage_at_eval, dev_wer, decision))
         return decision
 
     def to_state(self) -> dict:
@@ -164,15 +174,20 @@ class StageController:
             "best_metric": self.best_metric,
             "epochs_since_improvement": self.epochs_since_improvement,
             "epoch_counter": self.epoch_counter,
-            "log_lines": list(self.log_lines),
+            "records": [[r.epoch, r.stage, r.dev_wer, r.decision.value]
+                        for r in self.records],
         }
 
     def restore_state(self, state: dict, best_checkpoint=None) -> None:
+        if "records" not in state:
+            raise DataError("saved controller state has no epoch records "
+                            "(an older state format); start a new run")
         self.stage_index = int(state["stage_index"])
         self.best_metric = float(state["best_metric"])
         self.epochs_since_improvement = int(state["epochs_since_improvement"])
         self.epoch_counter = int(state["epoch_counter"])
-        self.log_lines = list(state["log_lines"])
+        self.records = [EpochRecord(int(e), int(s), float(w), Decision(d))
+                        for e, s, w, d in state["records"]]
         self.best_checkpoint = best_checkpoint
 
 

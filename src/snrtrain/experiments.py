@@ -37,13 +37,9 @@ class ComparisonSpec:
     multicondition_max_epochs: int = 60
     clean_max_epochs: int = 45
     learning_rate: float = 2e-3
-    batch_size: int = 16
-    dropout: float = 0.3
-    gauss_sigma: float = 0.6
     corpus_seed: int = 0
     pool_seconds: float = 60.0
     pool_seed: int = 77
-    workers: int = 1
 
 
 @dataclass
@@ -107,20 +103,18 @@ def run_comparison(spec: ComparisonSpec = ComparisonSpec(),
     for seed in spec.seeds:
         for method in METHODS:
             schedule = _schedule_for(method, spec)
+            overrides = {"gauss_sigma": 0.0} if method == "clean_only" else {}
             config = TrainConfig(
                 master_seed=derive_seed(seed, method),
                 learning_rate=spec.learning_rate,
-                batch_size=spec.batch_size,
-                dropout=spec.dropout,
                 hidden_size=spec.hidden_size,
-                gauss_sigma=0.0 if method == "clean_only" else spec.gauss_sigma,
-                workers=spec.workers,
+                **overrides,
             )
             result = train(train_corpus, dev_corpus, schedule, pool, config)
             wers = {
                 condition: evaluate_condition_wer(
                     result.model, result.alphabet, result.stats, test_corpus,
-                    pool, condition, TEST_MIX_SEED, spec.batch_size)
+                    pool, condition, TEST_MIX_SEED, config.batch_size)
                 for condition in spec.test_snrs
             }
             outcomes[method].wer_by_seed[seed] = wers

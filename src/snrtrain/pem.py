@@ -5,29 +5,32 @@ noise segment and a new SNR from the current stage set, is featurized,
 normalized with frozen stats, and optionally perturbed with feature-level
 Gaussian noise. All draws derive from a per-item seed
 blake2b(master_seed, epoch_index, utterance_id), so any item regenerates
-independently of thread count or scheduling, and a manifest records every
-choice. Epoch data is discarded after training to a footprint of just the
-manifest; a one-deep prefetch overlaps next-epoch generation with training
-on the current epoch.
+independently of scheduling, and a manifest records every choice. Epoch
+data is discarded after training to a footprint of just the manifest; a
+one-deep prefetch overlaps next-epoch generation with training on the
+current epoch.
+
+draw_choice and render are the one mix -> featurize path: epoch items,
+normalization stats, the trainer's dev set and test-condition evaluation
+all go through them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import audio, curriculum, features
-from .audio import CLEAN, NoisePool, mix_at_snr, segment_at
+from .audio import NoisePool, mix_at_snr, segment_at
 from .curriculum import Decision, StageController
 from .errors import ComputeError, DataError
 from .seeding import derive_seed
+from .wer import condition_key, format_condition
 
 MANIFEST_HEADER = "# pem-manifest v1"
 
@@ -83,16 +86,16 @@ class ManifestRecord:
     checksum: str
 
     def to_line(self) -> str:
-        snr = CLEAN if self.snr == CLEAN else f"{float(self.snr):g}"
-        return f"{self.utt_id}\t{self.noise_offset}\t{snr}\t{self.inject_seed}\t{self.checksum}"
+        return (f"{self.utt_id}\t{self.noise_offset}\t{format_condition(self.snr)}"
+                f"\t{self.inject_seed}\t{self.checksum}")
 
     @staticmethod
     def from_line(line: str) -> "ManifestRecord":
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 5:
             raise DataError(f"manifest record needs 5 tab-separated fields: {line!r}")
-        snr = parts[2] if parts[2] == CLEAN else float(parts[2])
-        return ManifestRecord(parts[0], int(parts[1]), snr, int(parts[3]), parts[4])
+        return ManifestRecord(parts[0], int(parts[1]), condition_key(parts[2]),
+                              int(parts[3]), parts[4])
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,11 @@ class EpochManifest:
 
 
 class EpochData:
-    """Materialized training data for one epoch; discardable, manifest kept."""
+    """Training data for one epoch, held in memory; discardable, manifest kept."""
 
-    def __init__(self, manifest: EpochManifest, feature_map: dict,
-                 storage_dir=None):
+    def __init__(self, manifest: EpochManifest, feature_map: dict):
         self.manifest = manifest
         self._features = feature_map
-        self.storage_dir = storage_dir
         self.discarded = False
 
     def features_for(self, utt_id: str) -> np.ndarray:
@@ -155,30 +156,32 @@ class EpochData:
 
     def discard(self) -> None:
         """Free all feature storage; keeps the manifest. Idempotent."""
-        if self.discarded:
-            return
         self._features = {}
-        if self.storage_dir is not None and os.path.isdir(self.storage_dir):
-            shutil.rmtree(self.storage_dir)
         self.discarded = True
 
 
-def _render_item(cfg: EpochConfig, utterance, pool: NoisePool, stats):
+def draw_choice(rng: np.random.Generator, pool: NoisePool, length: int,
+                stage_set) -> tuple:
+    """(noise offset, SNR) for one item: the offset is drawn first."""
+    offset = audio.sample_segment_offset(pool, length, rng)
+    return offset, curriculum.sample_snr(stage_set, rng, allow_clean=True)
+
+
+def render(utterance, pool: NoisePool, offset: int, snr) -> np.ndarray:
+    """Raw (unnormalized) features of the utterance mixed at snr with the
+    pool segment at offset; at CLEAN the signal is featurized as it is."""
+    segment = segment_at(pool, offset, len(utterance.waveform))
+    return features.featurize_waveform(mix_at_snr(utterance.waveform, segment, snr))
+
+
+def _item_choice(cfg: EpochConfig, utterance, pool: NoisePool) -> tuple:
     rng = np.random.default_rng(item_seed(cfg.master_seed, cfg.epoch_index,
                                           utterance.utt_id))
-    offset = audio.sample_segment_offset(pool, len(utterance.waveform), rng)
-    snr = curriculum.sample_snr(cfg.stage_snr_set, rng, allow_clean=True)
-    return _render_from_choices(cfg, utterance, pool, stats, offset, snr)
+    return draw_choice(rng, pool, len(utterance.waveform), cfg.stage_snr_set)
 
 
-def _render_from_choices(cfg: EpochConfig, utterance, pool, stats, offset, snr):
-    if snr == CLEAN:
-        mixed = utterance.waveform
-    else:
-        segment = segment_at(pool, offset, len(utterance.waveform))
-        mixed = mix_at_snr(utterance.waveform, segment, snr)
-    feats = features.featurize_waveform(mixed)
-    feats = features.normalize(feats, stats)
+def _epoch_item(cfg: EpochConfig, utterance, pool: NoisePool, stats, offset, snr):
+    feats = features.normalize(render(utterance, pool, offset, snr), stats)
     seed = injection_seed(cfg.master_seed, cfg.epoch_index, utterance.utt_id)
     if cfg.gauss_sigma > 0.0:
         feats = features.inject_gaussian(feats, cfg.gauss_sigma,
@@ -189,46 +192,30 @@ def _render_from_choices(cfg: EpochConfig, utterance, pool, stats, offset, snr):
     return rendered, record
 
 
-def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool, stats,
-                   storage_dir=None, workers: int = 1) -> EpochData:
+def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool, stats) -> EpochData:
     """Mix, featurize, normalize and (optionally) inject one whole epoch.
 
-    Fully deterministic in (master_seed, epoch_index, utterance id); worker
-    count only affects wall time. When storage_dir is given, one feature
-    file per utterance is written under <storage_dir>/epoch_<index>/.
+    Fully deterministic in (master_seed, epoch_index, utterance id).
     """
-    def render(utterance):
+    feature_map = {}
+    records = []
+    for utterance in corpus:
         try:
-            return _render_item(cfg, utterance, pool, stats)
+            feats, record = _epoch_item(cfg, utterance, pool, stats,
+                                        *_item_choice(cfg, utterance, pool))
         except DataError as err:
             raise DataError(f"utterance {utterance.utt_id!r}: {err}") from err
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            rendered = list(pool_exec.map(render, corpus))
-    else:
-        rendered = [render(u) for u in corpus]
-
-    feature_map = {u.utt_id: feats for u, (feats, _) in zip(corpus, rendered)}
-    manifest = EpochManifest(cfg.epoch_index, cfg.config_hash(),
-                             tuple(record for _, record in rendered))
-    epoch_dir = None
-    if storage_dir is not None:
-        epoch_dir = os.path.join(storage_dir, f"epoch_{cfg.epoch_index:04d}")
-        os.makedirs(epoch_dir, exist_ok=True)
-        for utt_id, feats in feature_map.items():
-            features.write_feature_file(os.path.join(epoch_dir, f"{utt_id}.feat"),
-                                        feats.astype(np.float64))
-    return EpochData(manifest, feature_map, epoch_dir)
+        feature_map[utterance.utt_id] = feats
+        records.append(record)
+    return EpochData(EpochManifest(cfg.epoch_index, cfg.config_hash(),
+                                   tuple(records)), feature_map)
 
 
 def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance,
                     pool: NoisePool, stats) -> np.ndarray:
     """Rebuild one utterance's features from its manifest record."""
-    rendered, record = _render_from_choices(
-        cfg, utterance, pool, stats, manifest_record.noise_offset,
-        manifest_record.snr
-    )
+    rendered, record = _epoch_item(cfg, utterance, pool, stats,
+                                   manifest_record.noise_offset, manifest_record.snr)
     if record.checksum != manifest_record.checksum:
         raise ComputeError(
             f"regeneration mismatch for {utterance.utt_id!r}: "
@@ -237,28 +224,11 @@ def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance
     return rendered
 
 
-def fit_epoch_stats(cfg: EpochConfig, corpus, pool: NoisePool,
-                    workers: int = 1) -> features.NormStats:
+def fit_epoch_stats(cfg: EpochConfig, corpus, pool: NoisePool) -> features.NormStats:
     """Normalization stats over the raw (pre-normalization) features of one
     epoch's mixes, using exactly the epoch's seeded segment/SNR choices."""
-    def raw(utterance):
-        rng = np.random.default_rng(item_seed(cfg.master_seed, cfg.epoch_index,
-                                              utterance.utt_id))
-        offset = audio.sample_segment_offset(pool, len(utterance.waveform), rng)
-        snr = curriculum.sample_snr(cfg.stage_snr_set, rng, allow_clean=True)
-        if snr == CLEAN:
-            mixed = utterance.waveform
-        else:
-            mixed = mix_at_snr(utterance.waveform,
-                               segment_at(pool, offset, len(utterance.waveform)), snr)
-        return features.featurize_waveform(mixed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            mats = list(pool_exec.map(raw, corpus))
-    else:
-        mats = [raw(u) for u in corpus]
-    return features.fit_norm_stats(mats)
+    return features.fit_norm_stats(
+        [render(u, pool, *_item_choice(cfg, u, pool)) for u in corpus])
 
 
 @dataclass
@@ -266,7 +236,6 @@ class PipelineResult:
     status: str  # "terminated" | "stopped"
     epochs_completed: int
     max_live_epochs: int
-    log_lines: list = field(default_factory=list)
 
 
 def pipeline_run(controller: StageController, generate, consume, *,
@@ -349,5 +318,4 @@ def pipeline_run(controller: StageController, generate, consume, *,
         if executor is not None:
             executor.shutdown(wait=True)
 
-    return PipelineResult(status, epochs_this_run, max_live,
-                          list(controller.log_lines))
+    return PipelineResult(status, epochs_this_run, max_live)

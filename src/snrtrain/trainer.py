@@ -13,18 +13,16 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import pem
-from .audio import NoisePool, mix_at_snr, sample_segment_offset, segment_at
-from .audio import CLEAN
+from .audio import NoisePool
 from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
-from .curriculum import Schedule, StageController, sample_snr
+from .curriculum import Decision, Schedule, StageController
 from .errors import ComputeError, DataError
-from .features import (NormStats, featurize_waveform, normalize,
-                       write_norm_stats)
+from .features import NormStats, normalize, write_norm_stats
 from .model import ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng
 from .wer import corpus_wer
@@ -44,16 +42,17 @@ class TrainConfig:
     dropout: float = 0.3
     hidden_size: int = 64
     gauss_sigma: float = 0.6
-    overlap_generation: bool = True
-    workers: int = 1
-    materialize_features: bool = False
+    # overlapped generation matches sequential bit for bit, so a resumed run
+    # may switch it: the one field left out of the fingerprint
+    overlap_generation: bool = field(default=True,
+                                     metadata={"fingerprint": False})
 
     def fingerprint(self, schedule: Schedule, corpus_id: str) -> str:
         payload = json.dumps(
             {
-                "config": {k: getattr(self, k) for k in (
-                    "master_seed", "learning_rate", "beta1", "beta2", "adam_eps",
-                    "batch_size", "dropout", "hidden_size", "gauss_sigma")},
+                "config": {f.name: getattr(self, f.name)
+                           for f in fields(self)
+                           if f.metadata.get("fingerprint", True)},
                 "schedule": [schedule.kind, [str(v) for v in schedule.grid],
                              schedule.patience, schedule.resolved_max_epochs],
                 "corpus": corpus_id,
@@ -75,7 +74,6 @@ class TrainResult:
     status: str
     epochs_run: int
     log_lines: list
-    stage_log_lines: list
     dev_wers: list
     switch_records: list
     stage_entry_count: int
@@ -112,25 +110,23 @@ def decode_utterances(model: RecurrentCtcModel, alphabet: LabelAlphabet,
     return hyps
 
 
-def mixed_features(utterance, pool: NoisePool, snr, stats: NormStats,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Mix at one condition and featurize+normalize (no injection)."""
-    if snr == CLEAN:
-        mixed = utterance.waveform
-    else:
-        offset = sample_segment_offset(pool, len(utterance.waveform), rng)
-        mixed = mix_at_snr(utterance.waveform,
-                           segment_at(pool, offset, len(utterance.waveform)), snr)
-    return normalize(featurize_waveform(mixed), stats)
+def _mixed_pairs(corpus, pool: NoisePool, stats: NormStats, stage_set,
+                *seed_parts) -> list:
+    """(utterance, normalized features) pairs, each mixed at a draw from
+    stage_set with the rng derived from seed_parts and its id (no injection)."""
+    pairs = []
+    for u in corpus:
+        offset, snr = pem.draw_choice(derived_rng(*seed_parts, u.utt_id), pool,
+                                      len(u.waveform), stage_set)
+        pairs.append((u, normalize(pem.render(u, pool, offset, snr), stats)))
+    return pairs
 
 
 def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
                            eval_seed: int, batch_size: int = 16) -> float:
     """Pooled WER of a model on one test condition with seeded mixing."""
-    pairs = []
-    for u in corpus:
-        rng = derived_rng(eval_seed, "eval", str(condition), u.utt_id)
-        pairs.append((u, mixed_features(u, pool, condition, stats, rng)))
+    pairs = _mixed_pairs(corpus, pool, stats, (condition,),
+                        eval_seed, "eval", str(condition))
     hyps = decode_utterances(model, alphabet, pairs, batch_size)
     refs = {u.utt_id: u.words for u in corpus}
     return corpus_wer(refs, hyps)
@@ -189,58 +185,23 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
 
     if stats is None:
         stats = pem.fit_epoch_stats(epoch_config(0, controller.stage_set),
-                                    train_corpus, pool, config.workers)
+                                    train_corpus, pool)
         if out_dir is not None:
             write_norm_stats(os.path.join(out_dir, "stats.feat"), stats)
 
-    if already_done:
-        # the saved run already terminated; report it without training more
-        stage_log = list(controller.log_lines)
-        return TrainResult(
-            status="terminated",
-            epochs_run=0,
-            log_lines=_merge_logs(stage_log, train_losses),
-            stage_log_lines=stage_log,
-            dev_wers=[float(line.split("\t")[2]) for line in stage_log],
-            switch_records=switch_records,
-            stage_entry_count=1 + sum(
-                1 for line in stage_log if line.endswith("switch_stage")),
-            model=model,
-            stats=stats,
-            best_hash=(controller.best_checkpoint[1]
-                       if controller.best_checkpoint is not None
-                       else model.param_hash()),
-            max_live_epochs=0,
-            alphabet=alphabet,
-        )
-
     dev_cache: dict = {}
 
-    def dev_pairs(stage_index, stage_set):
+    def dev_pairs():
+        stage_index = controller.stage_index
         if stage_index not in dev_cache:
-            pairs = []
-            for u in dev_corpus:
-                rng = derived_rng(config.master_seed, "dev", stage_index, u.utt_id)
-                offset = sample_segment_offset(pool, len(u.waveform), rng)
-                snr = sample_snr(stage_set, rng, allow_clean=True)
-                if snr == CLEAN:
-                    feats = normalize(featurize_waveform(u.waveform), stats)
-                else:
-                    segment = segment_at(pool, offset, len(u.waveform))
-                    feats = normalize(
-                        featurize_waveform(mix_at_snr(u.waveform, segment, snr)),
-                        stats)
-                pairs.append((u, feats))
-            dev_cache[stage_index] = pairs
+            dev_cache[stage_index] = _mixed_pairs(
+                dev_corpus, pool, stats, controller.stage_set,
+                config.master_seed, "dev", stage_index)
         return dev_cache[stage_index]
-
-    storage_dir = (os.path.join(out_dir, "epochs")
-                   if out_dir is not None and config.materialize_features else None)
 
     def generate(epoch_index, stage_set):
         return pem.generate_epoch(epoch_config(epoch_index, stage_set),
-                                  train_corpus, pool, stats,
-                                  storage_dir=storage_dir, workers=config.workers)
+                                  train_corpus, pool, stats)
 
     manifests: list = []
 
@@ -272,8 +233,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
                       beta2=config.beta2, eps=config.adam_eps)
         train_losses.append(total_loss / len(train_corpus))
 
-        pairs = dev_pairs(controller.stage_index, controller.stage_set)
-        hyps = decode_utterances(model, alphabet, pairs, config.batch_size)
+        hyps = decode_utterances(model, alphabet, dev_pairs(), config.batch_size)
         dev_wer = corpus_wer(dev_refs, hyps)
 
         if out_dir is not None:
@@ -291,29 +251,34 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         switch_records.append(SwitchRecord(controller.epoch_counter, best_hash,
                                            model.param_hash()))
 
-    result = pem.pipeline_run(
-        controller, generate, consume,
-        checkpoint_provider=checkpoint_provider,
-        on_restore=on_restore,
-        overlap=config.overlap_generation,
-        start_epoch=start_epoch,
-        stop_after_epochs=stop_after,
-    )
+    if already_done:
+        # the saved run already terminated; report it without training more
+        result = pem.PipelineResult("terminated", 0, 0)
+    else:
+        result = pem.pipeline_run(
+            controller, generate, consume,
+            checkpoint_provider=checkpoint_provider,
+            on_restore=on_restore,
+            overlap=config.overlap_generation,
+            start_epoch=start_epoch,
+            stop_after_epochs=stop_after,
+        )
 
-    stage_log = list(controller.log_lines)
-    log_lines = _merge_logs(stage_log, train_losses)
-    dev_wers = [float(line.split("\t")[2]) for line in stage_log]
+    records = controller.records
+    log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"
+                 for r, loss in zip(records, train_losses)]
     best_hash = (controller.best_checkpoint[1]
                  if controller.best_checkpoint is not None else model.param_hash())
 
-    if out_dir is not None:
+    if out_dir is not None and not already_done:
         _save_state(out_dir, fingerprint, model, adam, controller, stats,
                     start_epoch + result.epochs_completed, train_losses,
                     switch_records, result.status)
         with open(os.path.join(out_dir, "train_log.tsv"), "w") as fh:
             fh.write("\n".join(log_lines) + "\n")
         with open(os.path.join(out_dir, "stage_log.tsv"), "w") as fh:
-            fh.write("\n".join(stage_log) + "\n")
+            fh.writelines(f"{r.epoch}\t{r.stage}\t{r.dev_wer:.4f}\t{r.decision.value}\n"
+                          for r in records)
         model.save_checkpoint(os.path.join(out_dir, "final.ckpt"),
                               controller.epoch_counter)
 
@@ -321,11 +286,10 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         status=result.status,
         epochs_run=result.epochs_completed,
         log_lines=log_lines,
-        stage_log_lines=stage_log,
-        dev_wers=dev_wers,
+        dev_wers=[r.dev_wer for r in records],
         switch_records=switch_records,
-        stage_entry_count=1 + sum(
-            1 for line in stage_log if line.endswith("switch_stage")),
+        stage_entry_count=1 + sum(r.decision is Decision.SWITCH_STAGE
+                                  for r in records),
         model=model,
         stats=stats,
         best_hash=best_hash,
@@ -333,14 +297,6 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         alphabet=alphabet,
         manifests=manifests,
     )
-
-
-def _merge_logs(stage_log, train_losses) -> list:
-    merged = []
-    for line, loss in zip(stage_log, train_losses):
-        epoch, stage, wer, decision = line.split("\t")
-        merged.append(f"{epoch}\t{stage}\t{loss:.6f}\t{wer}\t{decision}")
-    return merged
 
 
 def _save_state(out_dir, fingerprint, model, adam, controller, stats,

@@ -285,6 +285,36 @@ class TestTrainCommand:
         assert proc.returncode == 2
         assert "out_dir" in proc.stderr
 
+    @pytest.mark.parametrize("section,key", [("trainer", "learning_rat"),
+                                             ("trainer", "workers"),
+                                             ("features", "gauss_sigm")])
+    def test_unknown_config_key_exit_2(self, tmp_path, section, key):
+        path = write_train_config(tmp_path)
+        config = json.loads(path.read_text())
+        config[section][key] = 0.01
+        path.write_text(json.dumps(config))
+        proc = run_cli("train", "--config", str(path))
+        assert proc.returncode == 2
+        assert repr(key) in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_state_in_line_format_exit_2(self, tmp_path):
+        path = write_train_config(tmp_path, kind="multicondition", patience=2,
+                                  max_epochs=4)
+        assert run_cli("train", "--config", str(path),
+                       "--stop-after", "1").returncode == 0
+        state_path = tmp_path / "run" / "state.json"
+        meta = json.loads(state_path.read_text())
+        # the earlier format held the controller's log as formatted lines
+        controller = meta["controller"]
+        controller["log_lines"] = [f"{e}\t{s}\t{w:.4f}\t{d}"
+                                   for e, s, w, d in controller.pop("records")]
+        state_path.write_text(json.dumps(meta, indent=2))
+        proc = run_cli("train", "--config", str(path))
+        assert proc.returncode == 2
+        assert "epoch records" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_schedule_file_reference(self, tmp_path):
         config_path = write_train_config(tmp_path, kind="multicondition",
                                          patience=1, max_epochs=2)

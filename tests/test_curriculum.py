@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import helpers
 from snrtrain.audio import CLEAN
-from snrtrain.curriculum import (DEFAULT_SNR_GRID, Decision, Schedule,
-                                 StageController, build_stages,
+from snrtrain.curriculum import (DEFAULT_SNR_GRID, Decision, EpochRecord,
+                                 Schedule, StageController, build_stages,
                                  format_schedule_file, grid_from_endpoints,
                                  parse_schedule_file, sample_snr)
 from snrtrain.errors import DataError
@@ -158,20 +159,29 @@ class TestController:
     def test_log_lines_format(self):
         controller = StageController(Schedule("accan", patience=1))
         controller.advance(12.5)
-        epoch, stage, wer, decision = controller.log_lines[0].split("\t")
-        assert (epoch, stage, decision) == ("1", "0", "continue")
-        assert float(wer) == 12.5
+        controller.advance(1 / 3)
+        controller.advance(0.5)
+        assert controller.records == [
+            EpochRecord(1, 0, 12.5, Decision.CONTINUE),
+            EpochRecord(2, 0, 1 / 3, Decision.CONTINUE),
+            EpochRecord(3, 0, 0.5, Decision.SWITCH_STAGE),
+        ]
 
     def test_state_round_trip(self):
         controller = StageController(Schedule("accan", patience=2))
-        for wer in (9.0, 8.0, 8.5):
+        for wer in (9.0, 1 / 3, 8.5):
             controller.advance(wer, checkpoint="ck")
         clone = StageController(Schedule("accan", patience=2))
         clone.restore_state(controller.to_state(), best_checkpoint="ck")
         assert clone.stage_index == controller.stage_index
         assert clone.best_metric == controller.best_metric
         assert clone.epochs_since_improvement == controller.epochs_since_improvement
-        assert clone.log_lines == controller.log_lines
+        assert clone.records == controller.records
+        # stored as JSON numbers and strings; the WER survives exactly
+        state = json.loads(json.dumps(controller.to_state()))
+        assert state["records"][1] == [2, 0, 1 / 3, "continue"]
+        clone.restore_state(state)
+        assert clone.records == controller.records
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=60),
            st.integers(1, 5))

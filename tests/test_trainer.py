@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
 from snrtrain.task import SyntheticTask, Utterance, make_corpus, synth_utterance
 from snrtrain.trainer import (TrainConfig, alphabet_from_corpora,
-                              evaluate_condition_wer, train)
+                              corpus_fingerprint, evaluate_condition_wer, train)
 
 TASK = SyntheticTask()
 
@@ -26,6 +29,13 @@ def tiny_config(**overrides):
                     hidden_size=24, gauss_sigma=0.6)
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tiny_setup):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("multicondition", patience=2, max_epochs=3)
+    return train(train_corpus, dev_corpus, schedule, pool, tiny_config())
 
 
 def test_alphabet_is_sorted_and_shared():
@@ -84,6 +94,44 @@ def test_tiny_run_matches_golden(tiny_setup, kind, patience, max_epochs):
     best_hash, log_lines = GOLDEN_RUNS[kind, patience, max_epochs]
     assert tuple(result.log_lines) == log_lines
     assert result.best_hash == best_hash
+
+
+# resume fingerprint of tiny_config() under the golden multicondition
+# schedule, recorded while the fingerprint still listed its fields by hand
+TINY_FINGERPRINT = "3719b04491fb9160"
+
+
+def test_fingerprint_is_pinned_and_covers_every_field(tiny_setup):
+    schedule = Schedule("multicondition", patience=2, max_epochs=4)
+    corpus_id = corpus_fingerprint(tiny_setup[0])
+    config = tiny_config()
+    assert config.fingerprint(schedule, corpus_id) == TINY_FINGERPRINT
+    # overlap == sequential, so the prefetch switch may change on resume
+    assert replace(config, overlap_generation=False).fingerprint(
+        schedule, corpus_id) == TINY_FINGERPRINT
+    for f in fields(TrainConfig):
+        if f.name == "overlap_generation":
+            continue
+        changed = replace(config, **{f.name: getattr(config, f.name) + 1})
+        assert changed.fingerprint(schedule, corpus_id) != TINY_FINGERPRINT, f.name
+
+
+def test_dev_wers_are_exact_and_logs_round_them(tiny_setup, tmp_path):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("accan", patience=1, max_epochs=8)
+    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                   out_dir=tmp_path)
+    meta = json.loads((tmp_path / "state.json").read_text())
+    records = meta["controller"]["records"]
+    assert result.dev_wers == [wer for _, _, wer, _ in records]
+    train_log = (tmp_path / "train_log.tsv").read_text().splitlines()
+    stage_log = (tmp_path / "stage_log.tsv").read_text().splitlines()
+    assert train_log == result.log_lines
+    for wer, train_line, stage_line in zip(result.dev_wers, train_log, stage_log,
+                                           strict=True):
+        assert train_line.split("\t")[3] == f"{wer:.4f}"
+        assert stage_line.split("\t")[2] == f"{wer:.4f}"
+    assert any(float(f"{wer:.4f}") != wer for wer in result.dev_wers)
 
 
 def test_overlapped_equals_sequential_training(tiny_setup):
@@ -154,6 +202,8 @@ def test_resume_matches_uninterrupted_run(tiny_setup, tmp_path):
     assert second.model.param_hash() == full.model.param_hash()
     assert (resumed_dir / "train_log.tsv").read_text() == \
         (full_dir / "train_log.tsv").read_text()
+    manifests = sorted(p.name for p in (resumed_dir / "manifests").iterdir())
+    assert manifests == [f"epoch_{i:04d}.manifest" for i in range(full.epochs_run)]
 
 
 def test_resume_rejects_changed_config(tiny_setup, tmp_path):
@@ -181,10 +231,9 @@ def test_infeasible_utterance_aborts_with_context(tiny_setup):
         train(corpus, dev_corpus, schedule, pool, tiny_config())
 
 
-def test_evaluate_condition_wer_runs_clean_and_noisy(tiny_setup):
-    train_corpus, dev_corpus, pool = tiny_setup
-    schedule = Schedule("multicondition", patience=2, max_epochs=3)
-    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+def test_evaluate_condition_wer_runs_clean_and_noisy(tiny_setup, tiny_model):
+    _, dev_corpus, pool = tiny_setup
+    result = tiny_model
     clean_wer = evaluate_condition_wer(result.model, result.alphabet,
                                        result.stats, dev_corpus, pool, CLEAN,
                                        eval_seed=1)
@@ -198,15 +247,14 @@ def test_evaluate_condition_wer_runs_clean_and_noisy(tiny_setup):
     assert repeat == noisy_wer
 
 
-def test_materialized_features_cleaned_up(tiny_setup, tmp_path):
-    import os
-    train_corpus, dev_corpus, pool = tiny_setup
-    schedule = Schedule("multicondition", patience=1, max_epochs=2)
-    out_dir = tmp_path / "mat"
-    train(train_corpus, dev_corpus, schedule, pool,
-          tiny_config(materialize_features=True), out_dir=out_dir)
-    epochs_dir = out_dir / "epochs"
-    leftovers = [] if not epochs_dir.exists() else os.listdir(epochs_dir)
-    assert leftovers == []
-    manifests = sorted(os.listdir(out_dir / "manifests"))
-    assert manifests and manifests[0] == "epoch_0000.manifest"
+# WERs of the tiny model, recorded before clean evaluation went through the
+# mixer and evaluation through pem.render
+PINNED_CONDITION_WERS = {CLEAN: 543.4782608695652, -10.0: 78.26086956521739}
+
+
+@pytest.mark.parametrize("condition", [CLEAN, -10.0])
+def test_evaluate_condition_wer_is_pinned(tiny_setup, tiny_model, condition):
+    _, dev_corpus, pool = tiny_setup
+    assert evaluate_condition_wer(
+        tiny_model.model, tiny_model.alphabet, tiny_model.stats, dev_corpus,
+        pool, condition, eval_seed=1) == PINNED_CONDITION_WERS[condition]
