@@ -25,18 +25,9 @@ from .seeding import derive_seed, derived_rng
 from .task import SyntheticTask, Utterance, make_corpus
 
 
-def _parse_snr(text: str):
-    if text == CLEAN:
-        return CLEAN
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"--snr must be a dB value or '{CLEAN}', got {text!r}") from None
-
-
 def cmd_mix(args) -> int:
+    target = wer.condition_key(args.snr)
     signal = read_wav(args.in_path)
-    target = _parse_snr(args.snr)
     if args.noise == "pink":
         pool_wave = generate_pink(NoiseSpec("pink", len(signal),
                                             signal.sample_rate_hz, seed=args.seed))

@@ -67,12 +67,19 @@ def num_frames(num_samples: int, sample_rate_hz: int) -> int:
     return 1 + (num_samples - win) // hop
 
 
+@lru_cache(maxsize=8)
+def _hamming(window_samples: int) -> np.ndarray:
+    window = np.hamming(window_samples)
+    window.flags.writeable = False  # shared by every caller
+    return window
+
+
 def frame_signal(w: Waveform) -> np.ndarray:
     """Cut into Hamming-windowed frames, shape (num_frames, window_samples)."""
     win, hop = frame_sizes(w.sample_rate_hz)
     count = num_frames(len(w), w.sample_rate_hz)
-    idx = hop * np.arange(count)[:, None] + np.arange(win)[None, :]
-    return w.samples[idx] * np.hamming(win)
+    windows = np.lib.stride_tricks.sliding_window_view(w.samples, win)
+    return windows[: hop * count : hop] * _hamming(win)
 
 
 @lru_cache(maxsize=8)
@@ -115,7 +122,8 @@ def log_mel_energies(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
 
 def _deltas(x: np.ndarray) -> np.ndarray:
     # regression deltas, window +/-2, denominator 2*(1^2+2^2)=10
-    padded = np.pad(x, ((DELTA_WINDOW, DELTA_WINDOW), (0, 0)), mode="edge")
+    n = x.shape[0]
+    padded = x[np.clip(np.arange(-DELTA_WINDOW, n + DELTA_WINDOW), 0, n - 1)]
     return (padded[3:-1] - padded[1:-3] + 2.0 * (padded[4:] - padded[:-4])) / 10.0
 
 

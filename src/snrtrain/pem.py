@@ -8,7 +8,11 @@ blake2b(master_seed, epoch_index, utterance_id), so any item regenerates
 independently of scheduling, and a manifest records every choice. Epoch
 data is discarded after training to a footprint of just the manifest; a
 one-deep prefetch overlaps next-epoch generation with training on the
-current epoch.
+current epoch. Nothing is prefetched past the run's last epoch (max_epochs
+or stop_after_epochs); only a stage switch or a patience stop, which cannot
+be known ahead, discards a speculative epoch. A fresh run renders epoch 0 once:
+fit_epoch_stats fits the normalization stats on its raw renders, and
+epoch_from_renders builds epoch 0 from those same renders.
 
 draw_choice and render are the one mix -> featurize path: epoch items,
 normalization stats, the trainer's dev set and test-condition evaluation
@@ -174,14 +178,16 @@ def render(utterance, pool: NoisePool, offset: int, snr) -> np.ndarray:
     return features.featurize_waveform(mix_at_snr(utterance.waveform, segment, snr))
 
 
-def _item_choice(cfg: EpochConfig, utterance, pool: NoisePool) -> tuple:
+def _raw_item(cfg: EpochConfig, utterance, pool: NoisePool) -> tuple:
+    """(offset, snr, raw features) of one item under the epoch's seeded draw."""
     rng = np.random.default_rng(item_seed(cfg.master_seed, cfg.epoch_index,
                                           utterance.utt_id))
-    return draw_choice(rng, pool, len(utterance.waveform), cfg.stage_snr_set)
+    offset, snr = draw_choice(rng, pool, len(utterance.waveform), cfg.stage_snr_set)
+    return offset, snr, render(utterance, pool, offset, snr)
 
 
-def _epoch_item(cfg: EpochConfig, utterance, pool: NoisePool, stats, offset, snr):
-    feats = features.normalize(render(utterance, pool, offset, snr), stats)
+def _epoch_item(cfg: EpochConfig, utterance, stats, offset, snr, raw):
+    feats = features.normalize(raw, stats)
     seed = injection_seed(cfg.master_seed, cfg.epoch_index, utterance.utt_id)
     if cfg.gauss_sigma > 0.0:
         feats = features.inject_gaussian(feats, cfg.gauss_sigma,
@@ -192,17 +198,13 @@ def _epoch_item(cfg: EpochConfig, utterance, pool: NoisePool, stats, offset, snr
     return rendered, record
 
 
-def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool, stats) -> EpochData:
-    """Mix, featurize, normalize and (optionally) inject one whole epoch.
-
-    Fully deterministic in (master_seed, epoch_index, utterance id).
-    """
+def _build_epoch(cfg: EpochConfig, corpus, stats, raw_item) -> EpochData:
+    """Normalize, inject and checksum raw_item(utterance) for every item."""
     feature_map = {}
     records = []
     for utterance in corpus:
         try:
-            feats, record = _epoch_item(cfg, utterance, pool, stats,
-                                        *_item_choice(cfg, utterance, pool))
+            feats, record = _epoch_item(cfg, utterance, stats, *raw_item(utterance))
         except DataError as err:
             raise DataError(f"utterance {utterance.utt_id!r}: {err}") from err
         feature_map[utterance.utt_id] = feats
@@ -211,11 +213,27 @@ def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool, stats) -> EpochDat
                                    tuple(records)), feature_map)
 
 
+def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool, stats) -> EpochData:
+    """Mix, featurize, normalize and (optionally) inject one whole epoch.
+
+    Fully deterministic in (master_seed, epoch_index, utterance id).
+    """
+    return _build_epoch(cfg, corpus, stats, lambda u: _raw_item(cfg, u, pool))
+
+
+def epoch_from_renders(cfg: EpochConfig, corpus, renders: dict, stats) -> EpochData:
+    """The epoch generate_epoch would give, built from the raw renders that
+    fit_epoch_stats collected for the same cfg. Each render is popped from
+    renders as it is normalized, so its raw matrix is released."""
+    return _build_epoch(cfg, corpus, stats, lambda u: renders.pop(u.utt_id))
+
+
 def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance,
                     pool: NoisePool, stats) -> np.ndarray:
     """Rebuild one utterance's features from its manifest record."""
-    rendered, record = _epoch_item(cfg, utterance, pool, stats,
-                                   manifest_record.noise_offset, manifest_record.snr)
+    offset, snr = manifest_record.noise_offset, manifest_record.snr
+    rendered, record = _epoch_item(cfg, utterance, stats, offset, snr,
+                                   render(utterance, pool, offset, snr))
     if record.checksum != manifest_record.checksum:
         raise ComputeError(
             f"regeneration mismatch for {utterance.utt_id!r}: "
@@ -224,11 +242,22 @@ def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance
     return rendered
 
 
-def fit_epoch_stats(cfg: EpochConfig, corpus, pool: NoisePool) -> features.NormStats:
+def fit_epoch_stats(cfg: EpochConfig, corpus, pool: NoisePool,
+                    renders: dict | None = None) -> features.NormStats:
     """Normalization stats over the raw (pre-normalization) features of one
-    epoch's mixes, using exactly the epoch's seeded segment/SNR choices."""
-    return features.fit_norm_stats(
-        [render(u, pool, *_item_choice(cfg, u, pool)) for u in corpus])
+    epoch's mixes, using exactly the epoch's seeded segment/SNR choices.
+
+    A dict passed as renders receives every item's (offset, snr, raw
+    features) under its utterance id, for epoch_from_renders to build the
+    same epoch without rendering it again.
+    """
+    matrices = []
+    for utterance in corpus:
+        offset, snr, raw = _raw_item(cfg, utterance, pool)
+        matrices.append(raw)
+        if renders is not None:
+            renders[utterance.utt_id] = (offset, snr, raw)
+    return features.fit_norm_stats(matrices)
 
 
 @dataclass
@@ -240,15 +269,19 @@ class PipelineResult:
 
 def pipeline_run(controller: StageController, generate, consume, *,
                  checkpoint_provider=None, on_restore=None, overlap: bool = True,
-                 start_epoch: int = 0, stop_after_epochs: int | None = None) -> PipelineResult:
+                 start_epoch: int = 0, stop_after_epochs: int | None = None,
+                 first: EpochData | None = None) -> PipelineResult:
     """Drive epochs through the controller with one-deep generation prefetch.
 
     generate(epoch_index, stage_set) must be pure; consume(epoch_index,
-    EpochData) returns the epoch's dev metric. While an epoch trains, the
-    next one is generated speculatively under the same stage set; on a stage
-    switch the speculative epoch is discarded and regenerated, so results
-    are identical to sequential execution. At most two epoch datasets are
-    live at any instant.
+    EpochData) returns the epoch's dev metric. first, when given, is the
+    start epoch's data, already built by the caller. While an epoch trains,
+    the next one is generated speculatively under the same stage set; on a
+    stage switch the speculative epoch is discarded and regenerated, so
+    results are identical to sequential execution. Nothing is prefetched
+    while the run's last epoch trains: the one that reaches the schedule's
+    max_epochs or stop_after_epochs. At most two epoch datasets are live at
+    any instant, first included.
     """
     checkpoint_provider = checkpoint_provider or (lambda: None)
     live = 0
@@ -256,14 +289,17 @@ def pipeline_run(controller: StageController, generate, consume, *,
     live_lock = threading.Lock()
     epochs_this_run = 0
     epoch = start_epoch
+    max_epochs = controller.schedule.resolved_max_epochs
 
-    def tracked_generate(index, stage_set):
+    def track(data):
         nonlocal live, max_live
-        data = generate(index, stage_set)
         with live_lock:
             live += 1
             max_live = max(max_live, live)
         return data
+
+    def tracked_generate(index, stage_set):
+        return track(generate(index, stage_set))
 
     def drop(data):
         nonlocal live
@@ -274,11 +310,15 @@ def pipeline_run(controller: StageController, generate, consume, *,
 
     executor = ThreadPoolExecutor(max_workers=1) if overlap else None
     status = "terminated"
-    current = tracked_generate(epoch, controller.stage_set)
+    current = (track(first) if first is not None
+               else tracked_generate(epoch, controller.stage_set))
     try:
         while True:
+            last = (controller.epoch_counter + 1 >= max_epochs
+                    or (stop_after_epochs is not None
+                        and epochs_this_run + 1 >= stop_after_epochs))
             future = None
-            if overlap:
+            if overlap and not last:
                 future = executor.submit(tracked_generate, epoch + 1,
                                          controller.stage_set)
             metric = consume(epoch, current)

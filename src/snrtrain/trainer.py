@@ -183,9 +183,13 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
                 out_dir, fingerprint, model, adam, controller, train_losses,
                 switch_records)
 
+    first = None
     if stats is None:
-        stats = pem.fit_epoch_stats(epoch_config(0, controller.stage_set),
-                                    train_corpus, pool)
+        # a fresh run: epoch 0 is built from the renders the stats are fit on
+        cfg0 = epoch_config(0, controller.stage_set)
+        renders: dict = {}
+        stats = pem.fit_epoch_stats(cfg0, train_corpus, pool, renders)
+        first = pem.epoch_from_renders(cfg0, train_corpus, renders, stats)
         if out_dir is not None:
             write_norm_stats(os.path.join(out_dir, "stats.feat"), stats)
 
@@ -262,6 +266,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
             overlap=config.overlap_generation,
             start_epoch=start_epoch,
             stop_after_epochs=stop_after,
+            first=first,
         )
 
     records = controller.records

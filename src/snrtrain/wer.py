@@ -15,6 +15,7 @@ consistent with the reference range tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -54,9 +55,13 @@ def condition_key(condition):
     if condition == CLEAN:
         return CLEAN
     try:
-        return float(condition)
+        value = float(condition)
     except (TypeError, ValueError):
-        raise DataError(f"unknown condition {condition!r}") from None
+        raise DataError(f"unknown condition {condition!r}: expected a dB value "
+                        f"or {CLEAN!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"condition {condition!r} is not a finite SNR in dB")
+    return value
 
 
 @dataclass(frozen=True)

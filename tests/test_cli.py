@@ -68,6 +68,17 @@ class TestMix:
         assert proc.returncode == 2
         assert "absent.wav" in proc.stderr
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_exit_2_names_value(self, tmp_path, target):
+        sig = tmp_path / "sig.wav"
+        write_tone(sig, seed=5)
+        proc = run_cli("mix", "--in", str(sig), "--noise", "pink",
+                       f"--snr={target}", "--seed", "1",
+                       "--out", str(tmp_path / "out.wav"))
+        assert proc.returncode == 2
+        assert f"'{target}'" in proc.stderr
+        assert "finite" in proc.stderr
+
     def test_degenerate_energy_exit_2(self, tmp_path):
         sig = tmp_path / "silent.wav"
         write_wav(sig, Waveform(np.zeros(4000), 16000))

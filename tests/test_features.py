@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -215,3 +216,22 @@ def test_featurize_dimension_contract():
     feats = featurize_waveform(w)
     assert feats.shape == (num_frames(8000, 16000), FEATURE_DIM)
     assert np.all(np.isfinite(feats))
+
+
+# blake2b-128 of featurize_waveform's float64 bytes for seeded noise (seed
+# None: silence, all energies floored) at 16 kHz, recorded before framing
+# moved to strided windows, the Hamming window was cached and delta padding
+# became an index clip; 400 and 560 samples are one and two frames
+@pytest.mark.parametrize("samples,seed,digest", [
+    (400, 1, "4d70711fe7f9dd8c24e0d950f6635b5b"),
+    (560, 2, "b3f689087fa3c96e9f772b7f81cf3bbd"),
+    (560, None, "0645f0ef9d5be07406e39efc8dbb81c2"),
+    (1234, 3, "5f29b3cd6a923b68a2f1eff4113d757a"),
+    (8000, 4, "5823a99bab518f0cd4505b3be939354c"),
+], ids=["400-1", "560-2", "560-silence", "1234-3", "8000-4"])
+def test_featurize_bytes_are_pinned(samples, seed, digest):
+    values = (np.zeros(samples) if seed is None
+              else 0.3 * np.random.default_rng(seed).standard_normal(samples))
+    feats = featurize_waveform(Waveform(values, 16000))
+    assert hashlib.blake2b(np.ascontiguousarray(feats, dtype="<f8").tobytes(),
+                           digest_size=16).hexdigest() == digest

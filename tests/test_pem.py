@@ -7,8 +7,9 @@ from snrtrain.audio import CLEAN, NoisePool
 from snrtrain.curriculum import Schedule, StageController
 from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
-from snrtrain.pem import (EpochConfig, EpochManifest, fit_epoch_stats,
-                          generate_epoch, pipeline_run, regenerate_item)
+from snrtrain.pem import (EpochConfig, EpochManifest, epoch_from_renders,
+                          fit_epoch_stats, generate_epoch, pipeline_run,
+                          regenerate_item)
 from snrtrain.task import SyntheticTask, make_corpus
 
 
@@ -145,6 +146,23 @@ class TestManifestFile:
         assert fields[2] == CLEAN
 
 
+class TestFirstEpoch:
+    def test_stats_renders_build_the_generated_epoch(self, small_setup):
+        _, corpus, pool, stats = small_setup
+        cfg0 = config_for(0)
+        renders = {}
+        refit = fit_epoch_stats(cfg0, corpus, pool, renders)
+        np.testing.assert_array_equal(refit.mean, stats.mean)
+        np.testing.assert_array_equal(refit.std, stats.std)
+        built = epoch_from_renders(cfg0, corpus, renders, stats)
+        generated = generate_epoch(cfg0, corpus, pool, stats)
+        assert built.manifest == generated.manifest
+        for utt_id in generated.utt_ids():
+            np.testing.assert_array_equal(built.features_for(utt_id),
+                                          generated.features_for(utt_id))
+        assert renders == {}  # every raw matrix was released
+
+
 def scripted_metrics(values):
     values = iter(values)
 
@@ -153,6 +171,17 @@ def scripted_metrics(values):
         return next(values)
 
     return consume
+
+
+def counting(generate):
+    """generate, and the list of epoch indices it is called with."""
+    calls = []
+
+    def wrapped(epoch_index, stage_set):
+        calls.append(epoch_index)
+        return generate(epoch_index, stage_set)
+
+    return wrapped, calls
 
 
 class TestPipelineRun:
@@ -244,3 +273,48 @@ class TestPipelineRun:
                      checkpoint_provider=lambda: controller.epoch_counter,
                      on_restore=restored.append)
         assert restored  # at least the stage switches restored a checkpoint
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_no_prefetch_past_the_last_epoch(self, small_setup, overlap):
+        controller, generate = self.make_parts(small_setup, kind="multicondition",
+                                               patience=10, max_epochs=4)
+        counting_generate, generated = counting(generate)
+
+        consumed = []
+
+        def consume(epoch_index, data):
+            consumed.append(epoch_index)
+            return 10.0
+
+        result = pipeline_run(controller, counting_generate, consume,
+                              overlap=overlap)
+        assert result.status == "terminated"
+        assert generated == [0, 1, 2, 3]
+        assert consumed == [0, 1, 2, 3]
+
+    def test_no_prefetch_past_stop_after(self, small_setup):
+        controller, generate = self.make_parts(small_setup, kind="multicondition",
+                                               patience=10, max_epochs=8)
+        counting_generate, generated = counting(generate)
+
+        result = pipeline_run(controller, counting_generate,
+                              scripted_metrics([10.0] * 3), stop_after_epochs=3)
+        assert result.status == "stopped"
+        assert generated == [0, 1, 2]
+
+    def test_first_epoch_is_consumed_and_counted_live(self, small_setup):
+        controller, generate = self.make_parts(small_setup, kind="multicondition",
+                                               patience=10, max_epochs=3)
+        first = generate(0, controller.stage_set)
+        counting_generate, generated = counting(generate)
+
+        seen = []
+
+        def consume(epoch_index, data):
+            seen.append(data)
+            return 10.0
+
+        result = pipeline_run(controller, counting_generate, consume, first=first)
+        assert seen[0] is first and first.discarded
+        assert generated == [1, 2]
+        assert result.max_live_epochs == 2

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from snrtrain import features
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
 from snrtrain.errors import ComputeError, DataError
@@ -258,3 +259,20 @@ def test_evaluate_condition_wer_is_pinned(tiny_setup, tiny_model, condition):
     assert evaluate_condition_wer(
         tiny_model.model, tiny_model.alphabet, tiny_model.stats, dev_corpus,
         pool, condition, eval_seed=1) == PINNED_CONDITION_WERS[condition]
+
+
+def test_fresh_run_renders_each_trained_epoch_once(tiny_setup, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    calls = []
+    featurize = features.featurize_waveform
+
+    def counting_featurize(waveform):
+        calls.append(len(waveform))
+        return featurize(waveform)
+
+    monkeypatch.setattr(features, "featurize_waveform", counting_featurize)
+    schedule = Schedule("multicondition", patience=3, max_epochs=3)
+    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+    assert result.epochs_run == 3
+    # the stats render is epoch 0, and nothing is prefetched past epoch 2
+    assert len(calls) == 3 * len(train_corpus) + len(dev_corpus)
