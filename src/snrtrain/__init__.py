@@ -3,14 +3,16 @@
 Pieces: exact-SNR waveform mixing from a noise pool, seeded pink/white
 noise synthesis, 123-dim filterbank features with Gaussian injection,
 per-epoch training-set regeneration with audit manifests, SNR curriculum
-schedules with a patience-driven stage controller, CTC loss/decoding, a
-desk-scale recurrent trainer, and WER scoring with SNR-range aggregation.
+schedules with a patience-driven stage controller, batched CTC loss and
+gradient (`ctc_loss_and_grad`; one sequence is a batch of one) with
+best-path decoding, a desk-scale recurrent trainer, and WER scoring with
+SNR-range aggregation.
 """
 
 from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
-                    mixing_gain, read_wav, rms, sample_segment, write_wav)
-from .ctc import (LabelAlphabet, best_path_decode, ctc_feasible, ctc_forward,
-                  ctc_grad, ctc_loss)
+                    mixing_gain, read_wav, rms, write_wav)
+from .ctc import (LabelAlphabet, best_path_decode, ctc_feasible,
+                  ctc_loss_and_grad)
 from .curriculum import (DEFAULT_SNR_GRID, Decision, Schedule, StageController,
                          build_stages, sample_snr)
 from .errors import ComputeError, DataError

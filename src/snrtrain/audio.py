@@ -126,11 +126,6 @@ def segment_at(pool: NoisePool, offset: int, length: int) -> Waveform:
                     pool.noise.sample_rate_hz)
 
 
-def sample_segment(pool: NoisePool, length: int, rng: np.random.Generator) -> Waveform:
-    """Cut a uniformly-placed contiguous segment from the pool."""
-    return segment_at(pool, sample_segment_offset(pool, length, rng), length)
-
-
 def read_wav(path) -> Waveform:
     """Read a mono WAV file (16-bit PCM or 32-bit float) to normalized reals."""
     rate, data = wavfile.read(path)

@@ -18,9 +18,9 @@ from . import features, pem, trainer, wer
 from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
                     mixing_gain, read_wav, sample_segment_offset, segment_at,
                     write_wav)
-from .curriculum import Schedule, grid_from_endpoints, parse_schedule_file
-from .errors import ComputeError, DataError
-from .noise import NoiseSpec, generate_pink
+from .curriculum import Schedule, parse_schedule_file, schedule_from_fields
+from .errors import ComputeError, DataError, check_keys, field_value
+from .noise import NoiseSpec, generate_pink, pink_pool_waveform
 from .seeding import derive_seed, derived_rng
 from .task import SyntheticTask, Utterance, make_corpus
 
@@ -75,38 +75,39 @@ def _schedule_from_config(section, base_dir: str) -> Schedule:
         if not os.path.exists(path):
             raise DataError(f"schedule file not found: {path}")
         return parse_schedule_file(path)
-    kind = section.get("kind")
-    if kind is None:
-        raise DataError("schedule section needs a 'kind'")
-    if "grid" in section:
-        grid = tuple(CLEAN if v == CLEAN else float(v) for v in section["grid"])
-    else:
-        grid = grid_from_endpoints(float(section.get("snr_min", 0.0)),
-                                   float(section.get("snr_max", 50.0)),
-                                   float(section.get("snr_step", 5.0)))
-    return Schedule(kind=kind, grid=grid,
-                    patience=int(section.get("patience", 5)),
-                    max_epochs=(int(section["max_epochs"])
-                                if "max_epochs" in section else None))
+    return schedule_from_fields(section, "the 'schedule' section")
+
+
+_CORPUS_KEYS = {
+    "synthetic": ("kind", "seed", "num_train", "num_dev", "min_symbols",
+                  "max_symbols"),
+    "wav-dir": ("kind", "train", "dev"),
+}
 
 
 def _corpus_from_config(section: dict, base_dir: str):
-    kind = section.get("kind", "synthetic")
-    if kind == "synthetic":
-        task = SyntheticTask(
-            min_symbols=int(section.get("min_symbols", 2)),
-            max_symbols=int(section.get("max_symbols", 5)),
-        )
-        seed = int(section["seed"])
-        train_corpus = make_corpus(task, int(section["num_train"]),
-                                   derive_seed(seed, "train"))
-        dev_corpus = make_corpus(task, int(section["num_dev"]),
-                                 derive_seed(seed, "dev"), id_prefix="dev")
-        return train_corpus, dev_corpus
+    where = "the 'corpus' section"
+    kind = field_value(section, "kind", str, where, "synthetic")
+    if kind not in _CORPUS_KEYS:
+        raise DataError(f"unknown corpus kind {kind!r}")
+    check_keys(section, _CORPUS_KEYS[kind], where)
     if kind == "wav-dir":
-        return (_load_wav_dir(os.path.join(base_dir, section["train"])),
-                _load_wav_dir(os.path.join(base_dir, section["dev"])))
-    raise DataError(f"unknown corpus kind {kind!r}")
+        train_dir = field_value(section, "train", str, where)
+        dev_dir = field_value(section, "dev", str, where)
+        return (_load_wav_dir(os.path.join(base_dir, train_dir)),
+                _load_wav_dir(os.path.join(base_dir, dev_dir)))
+    task = SyntheticTask(
+        min_symbols=field_value(section, "min_symbols", int, where,
+                                SyntheticTask.min_symbols),
+        max_symbols=field_value(section, "max_symbols", int, where,
+                                SyntheticTask.max_symbols),
+    )
+    seed = field_value(section, "seed", int, where)
+    train_corpus = make_corpus(task, field_value(section, "num_train", int, where),
+                               derive_seed(seed, "train"))
+    dev_corpus = make_corpus(task, field_value(section, "num_dev", int, where),
+                             derive_seed(seed, "dev"), id_prefix="dev")
+    return train_corpus, dev_corpus
 
 
 def _load_wav_dir(path):
@@ -132,16 +133,17 @@ def _load_wav_dir(path):
 
 
 def _pool_from_config(section: dict, base_dir: str, sample_rate_hz: int) -> NoisePool:
-    kind = section.get("kind")
+    where = "the 'noise' section"
+    kind = field_value(section, "kind", str, where)
     if kind == "pink":
-        seconds = float(section.get("seconds", 60.0))
-        seed = int(section["seed"])
-        length = int(round(seconds * sample_rate_hz))
-        return NoisePool(generate_pink(NoiseSpec("pink", length, sample_rate_hz,
-                                                 seed=seed)),
-                         pool_id=f"pink:{seed}")
+        check_keys(section, ("kind", "seconds", "seed"), where)
+        seed = field_value(section, "seed", int, where)
+        waveform = pink_pool_waveform(field_value(section, "seconds", float, where, 60.0),
+                                      sample_rate_hz, seed)
+        return NoisePool(waveform, pool_id=f"pink:{seed}")
     if kind == "wav":
-        path = os.path.join(base_dir, section["path"])
+        check_keys(section, ("kind", "path"), where)
+        path = os.path.join(base_dir, field_value(section, "path", str, where))
         return NoisePool(read_wav(path), pool_id=os.path.basename(path))
     raise DataError(f"unknown noise kind {kind!r}; use 'pink' or 'wav'")
 
@@ -154,9 +156,18 @@ def load_run_config(path) -> dict:
             config = json.load(fh)
         except json.JSONDecodeError as err:
             raise DataError(f"{path}: invalid JSON: {err}") from None
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    check_keys(config, ("master_seed", "out_dir", "corpus", "noise", "schedule",
+                        "features", "trainer"), path)
     for key in ("master_seed", "out_dir", "corpus", "noise", "schedule"):
         if key not in config:
             raise DataError(f"{path}: missing required key {key!r}")
+    for key in ("corpus", "noise", "features", "trainer"):
+        if not isinstance(config.get(key, {}), dict):
+            raise DataError(f"{path}: {key!r} must be a JSON object")
+    if not isinstance(config["schedule"], (dict, str)):
+        raise DataError(f"{path}: 'schedule' must be a JSON object or a file path")
     return config
 
 
@@ -169,26 +180,27 @@ _CONFIG_KEYS = {
 }
 
 
-def _train_config(config: dict) -> trainer.TrainConfig:
+def _train_config(config: dict, path) -> trainer.TrainConfig:
     settings = {}
     for section, keys in _CONFIG_KEYS.items():
-        for key, value in config.get(section, {}).items():
-            if key not in keys:
-                raise DataError(f"unknown key {key!r} in the {section!r} section; "
-                                f"expected one of {', '.join(keys)}")
-            settings[key] = keys[key](value)
-    return trainer.TrainConfig(master_seed=int(config["master_seed"]), **settings)
+        fields = config.get(section, {})
+        where = f"the {section!r} section"
+        check_keys(fields, keys, where)
+        for key in fields:
+            settings[key] = field_value(fields, key, keys[key], where)
+    return trainer.TrainConfig(master_seed=field_value(config, "master_seed", int, path),
+                               **settings)
 
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    train_config = _train_config(config)
+    train_config = _train_config(config, args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     train_corpus, dev_corpus = _corpus_from_config(config["corpus"], base_dir)
     sample_rate = train_corpus[0].waveform.sample_rate_hz
     pool = _pool_from_config(config["noise"], base_dir, sample_rate)
     schedule = _schedule_from_config(config["schedule"], base_dir)
-    out_dir = config["out_dir"]
+    out_dir = field_value(config, "out_dir", str, args.config)
     if not os.path.isabs(out_dir):
         out_dir = os.path.join(base_dir, out_dir)
     result = trainer.train(train_corpus, dev_corpus, schedule, pool, train_config,
@@ -243,8 +255,9 @@ file formats (byte-exact):
   schedule    declarative text, "key = value" per line, '#' comments; keys:
               kind, snr_min, snr_max, snr_step, patience, max_epochs.
   experiment  JSON with keys master_seed, out_dir, corpus, noise, schedule,
-              and optional features / trainer sections; schedule may also be
-              a path to a schedule text file.
+              and optional features / trainer sections; schedule holds the
+              schedule file's keys or is a path to a schedule text file. An
+              unknown key at the top level or in any section exits 2.
 """
 
 

@@ -13,7 +13,7 @@ and each item's label list. The blank-extended targets are padded to the
 longest, 2 * len(labels) + 1 states. Padded states and frames t >= T_i
 emit -inf, so padding never feeds a real item and the values held in
 padded frames do not matter. Each item's loss and gradient equal those of
-scoring it alone; the single-sequence functions are that call with B = 1.
+scoring it alone, so one sequence is scored as a batch with B = 1.
 """
 
 from __future__ import annotations
@@ -171,51 +171,6 @@ def ctc_loss_and_grad(log_probs, lengths, labels):
              if math.isfinite(loss) else None
              for i, (n, loss) in enumerate(zip(lengths, losses))]
     return losses, grads
-
-
-def _single(log_probs: np.ndarray) -> np.ndarray:
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    if log_probs.ndim != 2 or log_probs.shape[0] < 1 or log_probs.shape[1] < 2:
-        raise DataError(f"log-prob sequence must be (T, symbols+1), got {log_probs.shape}")
-    return log_probs[:, None, :]
-
-
-@dataclass(frozen=True)
-class CtcForward:
-    """Forward-pass result: loss is +inf when feasible is False."""
-
-    loss: float
-    feasible: bool
-
-
-def ctc_forward(log_probs: np.ndarray, labels) -> CtcForward:
-    loss = ctc_loss(log_probs, labels)
-    return CtcForward(loss, ctc_feasible(len(log_probs), labels))
-
-
-def ctc_loss(log_probs: np.ndarray, labels) -> float:
-    """Negative log-likelihood; +inf when no alignment exists."""
-    log_probs = _single(log_probs)
-    losses, _ = _posteriors(log_probs, [log_probs.shape[0]], [labels])
-    return float(losses[0])
-
-
-def ctc_posterior(log_probs: np.ndarray, labels) -> np.ndarray:
-    """Per-frame symbol occupancy gamma, shape like log_probs; rows sum to 1."""
-    log_probs = _single(log_probs)
-    losses, gamma = _posteriors(log_probs, [log_probs.shape[0]], [labels])
-    if not math.isfinite(losses[0]):
-        raise DataError("no feasible alignment: target too long for frame count")
-    return gamma[:, 0, : log_probs.shape[2]]
-
-
-def ctc_grad(log_probs: np.ndarray, labels) -> np.ndarray:
-    """d(loss)/d(logits) under log_probs = log_softmax(logits); rows sum to 0."""
-    log_probs = _single(log_probs)
-    _, grads = ctc_loss_and_grad(log_probs, [log_probs.shape[0]], [labels])
-    if grads[0] is None:
-        raise DataError("no feasible alignment: target too long for frame count")
-    return grads[0]
 
 
 def best_path_decode(log_probs: np.ndarray) -> list[int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import CLEAN
-from .errors import DataError
+from .errors import DataError, check_keys, field_value
 
 DEFAULT_SNR_GRID: tuple = tuple(float(v) for v in range(0, 55, 5))
 KINDS = ("multicondition", "accan", "accan_reversed")
@@ -191,15 +191,17 @@ class StageController:
         self.best_checkpoint = best_checkpoint
 
 
-# --- schedule description file ---------------------------------------------
+# --- schedule fields ---------------------------------------------------------
 #
-# Plain declarative text, one "key = value" per line, '#' comments:
+# A schedule is written as fields, either in a schedule file, plain text with
+# one "key = value" per line and '#' comments:
 #   kind = accan
 #   snr_min = 0
 #   snr_max = 50
 #   snr_step = 5
 #   patience = 5
 #   max_epochs = 300
+# or as the "schedule" object of an experiment file, with the same keys.
 
 _SCHEDULE_KEYS = ("kind", "snr_min", "snr_max", "snr_step", "patience", "max_epochs")
 
@@ -216,6 +218,26 @@ def grid_from_endpoints(snr_min: float, snr_max: float, snr_step: float) -> tupl
     return grid
 
 
+def schedule_from_fields(fields: dict, where: str) -> Schedule:
+    """The Schedule that a schedule file's or an experiment file's fields
+    describe; unset fields take the default grid (0..50 dB in 5 dB steps),
+    patience and the kind's epoch cap. An unknown key, a missing kind or a
+    malformed value raises DataError naming the key and `where`."""
+    check_keys(fields, _SCHEDULE_KEYS, where)
+    kind = field_value(fields, "kind", str, where)
+    grid = grid_from_endpoints(
+        field_value(fields, "snr_min", float, where, DEFAULT_SNR_GRID[0]),
+        field_value(fields, "snr_max", float, where, DEFAULT_SNR_GRID[-1]),
+        field_value(fields, "snr_step", float, where, 5.0),
+    )
+    return Schedule(
+        kind=kind,
+        grid=grid,
+        patience=field_value(fields, "patience", int, where, Schedule.patience),
+        max_epochs=field_value(fields, "max_epochs", int, where, None),
+    )
+
+
 def parse_schedule_file(path) -> Schedule:
     fields: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -226,33 +248,5 @@ def parse_schedule_file(path) -> Schedule:
             if "=" not in line:
                 raise DataError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SCHEDULE_KEYS:
-                raise DataError(f"{path}:{line_no}: unknown key {key!r}")
-            fields[key] = value.strip()
-    if "kind" not in fields:
-        raise DataError(f"{path}: schedule file must set 'kind'")
-    grid = grid_from_endpoints(
-        float(fields.get("snr_min", DEFAULT_SNR_GRID[0])),
-        float(fields.get("snr_max", DEFAULT_SNR_GRID[-1])),
-        float(fields.get("snr_step", 5.0)),
-    )
-    return Schedule(
-        kind=fields["kind"],
-        grid=grid,
-        patience=int(fields.get("patience", 5)),
-        max_epochs=int(fields["max_epochs"]) if "max_epochs" in fields else None,
-    )
-
-
-def format_schedule_file(schedule: Schedule) -> str:
-    numeric = [v for v in schedule.grid if v != CLEAN]
-    step = numeric[1] - numeric[0] if len(numeric) > 1 else 5.0
-    return (
-        f"kind = {schedule.kind}\n"
-        f"snr_min = {numeric[0]:g}\n"
-        f"snr_max = {numeric[-1]:g}\n"
-        f"snr_step = {step:g}\n"
-        f"patience = {schedule.patience}\n"
-        f"max_epochs = {schedule.resolved_max_epochs}\n"
-    )
+            fields[key.strip()] = value.strip()
+    return schedule_from_fields(fields, f"the schedule file {path}")

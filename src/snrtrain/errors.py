@@ -1,8 +1,13 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the checks that turn the
+fields of an input file into typed values or a DataError.
 
 The CLI maps DataError to exit code 2 (bad input / usage) and ComputeError
 to exit code 1 (numerical failure mid-run).
 """
+
+_REQUIRED = object()
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
 
 
 class DataError(ValueError):
@@ -11,3 +16,36 @@ class DataError(ValueError):
 
 class ComputeError(RuntimeError):
     """A computation failed (non-finite loss, generation failure, ...)."""
+
+
+def check_keys(fields: dict, allowed, where: str) -> None:
+    """DataError naming the first key of `fields` outside `allowed`."""
+    for key in fields:
+        if key not in allowed:
+            raise DataError(f"unknown key {key!r} in {where}; "
+                            f"expected one of {', '.join(allowed)}")
+
+
+def field_value(fields: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """fields[key] as `kind` (bool, int, float or str), or `default` when the
+    key is absent. Text is parsed as a number (a schedule file's values are
+    text); a bool or a string must already be one, no number reads a bool and
+    an integer refuses a fraction. Anything else raises DataError naming the
+    key and `where`."""
+    if key not in fields:
+        if default is _REQUIRED:
+            raise DataError(f"{where} needs the key {key!r}")
+        return default
+    value = fields[key]
+    try:
+        if kind in (bool, str) or isinstance(value, bool):
+            if type(value) is not kind:
+                raise TypeError
+            return value
+        converted = kind(value)
+        if not isinstance(value, str) and converted != value:
+            raise ValueError
+        return converted
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{key!r} in {where} must be {_KIND_NAMES[kind]}, "
+                        f"got {value!r}") from None

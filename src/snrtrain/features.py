@@ -196,10 +196,6 @@ def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return (_check_dim(values) - stats.mean) / stats.std
 
 
-def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    return _check_dim(values) * stats.std + stats.mean
-
-
 def normalize_per_utterance(values: np.ndarray) -> np.ndarray:
     """Normalize one utterance by its own frame statistics."""
     values = _check_dim(values)

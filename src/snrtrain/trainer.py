@@ -135,6 +135,8 @@ def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
 def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
           config: TrainConfig, out_dir=None, stop_after: int | None = None) -> TrainResult:
     """Run (or resume) a full curriculum training experiment."""
+    if stop_after is not None and stop_after < 1:
+        raise DataError(f"stop_after must be >= 1, got {stop_after}")
     if not train_corpus or not dev_corpus:
         raise DataError("train and dev corpora must be nonempty")
     longest = max(len(u.waveform) for u in list(train_corpus) + list(dev_corpus))

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, fsum two-pass statistics,
-memoized recursion, periodogram regression, linear programming.
+memoized recursion, periodogram regression, linear programming. The one
+exception, `ctc_single`, is not an oracle: it scores one sequence through
+the library's batched CTC so that the oracles can be compared with it.
 """
 
 import itertools
@@ -11,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
+
+from snrtrain.ctc import ctc_loss_and_grad
 
 
 def fsum_rms(samples) -> float:
@@ -77,6 +81,15 @@ def brute_force_ctc_posterior(log_probs, labels) -> np.ndarray:
         for t, s in enumerate(path):
             gamma[t, s] += mass
     return gamma / total
+
+
+def ctc_single(log_probs, labels):
+    """Loss and logit gradient of one (T, K) sequence: `ctc_loss_and_grad`
+    with B = 1. The gradient is None when no alignment exists; the state
+    posterior is exp(log_probs) - gradient."""
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    losses, grads = ctc_loss_and_grad(log_probs[:, None], [len(log_probs)], [labels])
+    return float(losses[0]), grads[0]
 
 
 def loop_ctc_loss_and_grad(log_probs, labels):

@@ -25,7 +25,6 @@ import pytest
 import helpers
 import reference_wer_tables as tables
 from snrtrain.audio import NoisePool, Waveform, measure_snr_db, mixing_gain
-from snrtrain.ctc import ctc_grad, ctc_loss
 from snrtrain.curriculum import (DEFAULT_SNR_GRID, Schedule, StageController,
                                  build_stages)
 from snrtrain.errors import DataError
@@ -162,7 +161,7 @@ def test_ctc_oracle():
         labels = [int(v) for v in rng.integers(0, num_outputs - 1, size=length)]
         logits = rng.normal(0.0, 2.0, size=(num_frames, num_outputs))
         lp = logits - np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
-        ours = ctc_loss(lp, labels)
+        ours, _ = helpers.ctc_single(lp, labels)
         reference = helpers.brute_force_ctc_loss(lp, labels)
         if math.isinf(reference):
             assert math.isinf(ours)
@@ -178,10 +177,10 @@ def test_ctc_oracle():
 
         def loss_at(z):
             lp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-            return ctc_loss(lp, labels)
+            return helpers.ctc_single(lp, labels)[0]
 
         lp = logits - np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
-        grad = ctc_grad(lp, labels)
+        _, grad = helpers.ctc_single(lp, labels)
         for t in range(5):
             for k in range(4):
                 up = logits.copy()

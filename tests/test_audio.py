@@ -6,8 +6,7 @@ from scipy.stats import chisquare
 import helpers
 from snrtrain.audio import (CLEAN, NoisePool, Waveform, measure_snr_db,
                             mix_at_snr, mixing_gain, read_wav, rms,
-                            sample_segment, sample_segment_offset, segment_at,
-                            write_wav)
+                            sample_segment_offset, segment_at, write_wav)
 from snrtrain.errors import DataError
 
 
@@ -138,14 +137,16 @@ class TestSegmentSampling:
         pool = NoisePool(seeded_noise_wave(3, n=500))
         rng = np.random.default_rng(0)
         assert sample_segment_offset(pool, 500, rng) == 0
-        seg = sample_segment(pool, 500, np.random.default_rng(0))
+        seg = segment_at(pool, 0, 500)
         assert np.array_equal(seg.samples, pool.noise.samples)
 
     def test_deterministic_under_seed(self):
         pool = NoisePool(seeded_noise_wave(3, n=5000))
-        a = sample_segment(pool, 400, np.random.default_rng(9))
-        b = sample_segment(pool, 400, np.random.default_rng(9))
-        assert np.array_equal(a.samples, b.samples)
+        offset_a = sample_segment_offset(pool, 400, np.random.default_rng(9))
+        offset_b = sample_segment_offset(pool, 400, np.random.default_rng(9))
+        assert offset_a == offset_b
+        assert np.array_equal(segment_at(pool, offset_a, 400).samples,
+                              segment_at(pool, offset_b, 400).samples)
 
     def test_too_long_segment_rejected(self):
         pool = NoisePool(seeded_noise_wave(3, n=100))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,16 +299,64 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("section,key", [("trainer", "learning_rat"),
                                              ("trainer", "workers"),
-                                             ("features", "gauss_sigm")])
+                                             ("features", "gauss_sigm"),
+                                             ("schedule", "patiense"),
+                                             (None, "trainr")])
     def test_unknown_config_key_exit_2(self, tmp_path, section, key):
         path = write_train_config(tmp_path)
         config = json.loads(path.read_text())
-        config[section][key] = 0.01
+        if section is None:
+            config[key] = {"learning_rate": 0.5}
+        else:
+            config[section][key] = 0.01
         path.write_text(json.dumps(config))
         proc = run_cli("train", "--config", str(path))
         assert proc.returncode == 2
         assert repr(key) in proc.stderr
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("schedule", "patience", "x"),
+        ("schedule file", "patience", "x"),
+        ("trainer", "learning_rate", "fast"),
+        ("trainer", "overlap_generation", "false"),
+        ("corpus", "seed", None),
+        ("noise", "seed", None),
+    ])
+    def test_malformed_or_missing_value_exit_2(self, tmp_path, section, key, value):
+        path = write_train_config(tmp_path)
+        config = json.loads(path.read_text())
+        if section == "schedule file":
+            (tmp_path / "schedule.txt").write_text(f"kind = accan\n{key} = {value}\n")
+            config["schedule"] = "schedule.txt"
+        elif value is None:
+            del config[section][key]
+        else:
+            config[section][key] = value
+        path.write_text(json.dumps(config))
+        proc = run_cli("train", "--config", str(path))
+        assert proc.returncode == 2
+        assert repr(key) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("stop_after", ["0", "-2"])
+    def test_stop_after_below_one_exit_2(self, tmp_path, stop_after):
+        path = write_train_config(tmp_path)
+        proc = run_cli("train", "--config", str(path), f"--stop-after={stop_after}")
+        assert proc.returncode == 2
+        assert "stop_after" in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_demo_config_trains(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_run.py"
+        made = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                              capture_output=True, text=True)
+        assert made.returncode == 0, made.stderr
+        proc = run_cli("train", "--config", str(tmp_path / "experiment.json"),
+                       "--stop-after", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "status=stopped" in proc.stdout
 
     def test_state_in_line_format_exit_2(self, tmp_path):
         path = write_train_config(tmp_path, kind="multicondition", patience=2,

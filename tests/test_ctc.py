@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from helpers import ctc_single
 from snrtrain.ctc import (LabelAlphabet, best_path_decode, ctc_feasible,
-                          ctc_forward, ctc_grad, ctc_loss, ctc_loss_and_grad,
-                          ctc_posterior)
+                          ctc_loss_and_grad)
 from snrtrain.errors import DataError
 
 
@@ -42,7 +42,7 @@ class TestAlphabet:
 class TestLoss:
     def test_single_frame_single_symbol(self):
         lp = np.log(np.array([[0.6, 0.4]]))
-        assert ctc_loss(lp, [0]) == pytest.approx(0.5108256237659907, abs=1e-12)
+        assert ctc_single(lp, [0])[0] == pytest.approx(0.5108256237659907, abs=1e-12)
 
     def test_two_frame_enumeration(self):
         # alignments for target "a" over 2 frames: aa, a-, -a
@@ -50,7 +50,7 @@ class TestLoss:
         lp = np.log(p)
         expected = -math.log(p[0, 0] * p[1, 0] + p[0, 0] * p[1, 1]
                              + p[0, 1] * p[1, 0])
-        assert ctc_loss(lp, [0]) == pytest.approx(expected, abs=1e-12)
+        assert ctc_single(lp, [0])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(7)
@@ -60,7 +60,7 @@ class TestLoss:
             length = int(rng.integers(0, 4))
             labels = [int(v) for v in rng.integers(0, num_outputs - 1, size=length)]
             lp = random_log_probs(rng, num_frames, num_outputs)
-            ours = ctc_loss(lp, labels)
+            ours, _ = ctc_single(lp, labels)
             reference = helpers.brute_force_ctc_loss(lp, labels)
             if math.isinf(reference):
                 assert math.isinf(ours)
@@ -69,9 +69,8 @@ class TestLoss:
 
     def test_infeasible_flagged(self):
         lp = random_log_probs(np.random.default_rng(0), 2, 3)
-        result = ctc_forward(lp, [0, 0])  # needs >= 3 frames (repeat)
-        assert not result.feasible
-        assert math.isinf(result.loss)
+        loss, grad = ctc_single(lp, [0, 0])  # needs >= 3 frames (repeat)
+        assert math.isinf(loss) and grad is None
         assert not ctc_feasible(2, [0, 0])
         assert ctc_feasible(3, [0, 0])
 
@@ -84,7 +83,7 @@ class TestLoss:
             for length in range(num_frames + 1):
                 for labels in itertools.product(range(num_outputs - 1),
                                                 repeat=length):
-                    loss = ctc_loss(lp, list(labels))
+                    loss, _ = ctc_single(lp, list(labels))
                     if math.isfinite(loss):
                         total += math.exp(-loss)
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -100,19 +99,18 @@ class TestLoss:
         column_order[3] = 3
         permuted = lp[:, column_order]
         relabeled = [perm[y] for y in labels]
-        assert ctc_loss(permuted, relabeled) == ctc_loss(lp, labels)
+        assert ctc_single(permuted, relabeled)[0] == ctc_single(lp, labels)[0]
 
     def test_unnormalized_rows_rejected(self):
         with pytest.raises(DataError):
-            ctc_loss(np.zeros((2, 3)), [0])
+            ctc_single(np.zeros((2, 3)), [0])
 
     def test_tiny_probabilities_stay_finite(self):
         p = np.full((6, 3), 1e-30)
         p[:, 2] = 1.0 - 2e-30
         lp = np.log(p) - np.log(np.sum(p, axis=1, keepdims=True))
-        loss = ctc_loss(lp, [0, 1])
+        loss, grad = ctc_single(lp, [0, 1])
         assert math.isfinite(loss)
-        grad = ctc_grad(lp, [0, 1])
         assert np.all(np.isfinite(grad))
 
 
@@ -120,7 +118,7 @@ class TestGrad:
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(2)
         lp = random_log_probs(rng, 7, 5)
-        grad = ctc_grad(lp, [0, 3, 1])
+        _, grad = ctc_single(lp, [0, 3, 1])
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-9)
 
     def test_matches_central_differences(self):
@@ -131,15 +129,15 @@ class TestGrad:
             num_frames, num_outputs = 5, 4
             labels = [int(v) for v in rng.integers(0, num_outputs - 1, size=2)]
             logits = rng.normal(0.0, 1.0, size=(num_frames, num_outputs))
-            grad = ctc_grad(log_softmax(logits), labels)
+            _, grad = ctc_single(log_softmax(logits), labels)
             for t in range(num_frames):
                 for k in range(num_outputs):
                     up = logits.copy()
                     up[t, k] += step
                     down = logits.copy()
                     down[t, k] -= step
-                    fd = (ctc_loss(log_softmax(up), labels)
-                          - ctc_loss(log_softmax(down), labels)) / (2 * step)
+                    fd = (ctc_single(log_softmax(up), labels)[0]
+                          - ctc_single(log_softmax(down), labels)[0]) / (2 * step)
                     rel = abs(fd - grad[t, k]) / max(abs(fd), abs(grad[t, k]), 1e-6)
                     worst = max(worst, rel)
         assert worst <= 1e-4
@@ -154,7 +152,7 @@ class TestGrad:
             lp = random_log_probs(rng, num_frames, num_outputs)
             if not ctc_feasible(num_frames, labels):
                 continue
-            gamma = ctc_posterior(lp, labels)
+            gamma = np.exp(lp) - ctc_single(lp, labels)[1]
             reference = helpers.brute_force_ctc_posterior(lp, labels)
             np.testing.assert_allclose(gamma, reference, atol=1e-9)
 
@@ -164,24 +162,23 @@ class TestGrad:
         rng = np.random.default_rng(4)
         lp = random_log_probs(rng, 4, 3)
         labels = [0, 1]
-        before = float(np.abs(ctc_grad(lp, labels)).max())
+        before = float(np.abs(ctc_single(lp, labels)[1]).max())
         for _ in range(200):
-            gamma = ctc_posterior(lp, labels)
+            gamma = np.exp(lp) - ctc_single(lp, labels)[1]
             lp = np.log(np.maximum(gamma, 1e-300))
             lp -= np.logaddexp.reduce(lp, axis=1, keepdims=True)
-        after = float(np.abs(ctc_grad(lp, labels)).max())
+        after = float(np.abs(ctc_single(lp, labels)[1]).max())
         assert after < before
         assert after < 1e-3
 
-    def test_infeasible_rejected(self):
+    def test_infeasible_gives_no_gradient(self):
         lp = random_log_probs(np.random.default_rng(0), 1, 3)
-        with pytest.raises(DataError):
-            ctc_grad(lp, [0, 1])
+        assert ctc_single(lp, [0, 1]) == (math.inf, None)
 
     def test_uniform_rows_symmetric_target(self):
         lp = log_softmax(np.zeros((4, 3)))
-        g01 = ctc_grad(lp, [0, 1])
-        g10 = ctc_grad(lp, [1, 0])
+        _, g01 = ctc_single(lp, [0, 1])
+        _, g10 = ctc_single(lp, [1, 0])
         np.testing.assert_allclose(g01[:, [1, 0, 2]], g10, atol=1e-12)
 
 
@@ -221,7 +218,7 @@ class TestBatch:
             for i, (n, y) in enumerate(zip(lengths, labels)):
                 alone = log_probs[:n, i]
                 one_loss, one_grad = ctc_loss_and_grad(alone[:, None], [n], [y])
-                assert losses[i] == one_loss[0] == ctc_loss(alone, y)
+                assert losses[i] == one_loss[0]
                 reference = helpers.brute_force_ctc_loss(alone, y)
                 if not ctc_feasible(n, y):
                     assert math.isinf(reference) and math.isinf(losses[i])
@@ -229,7 +226,6 @@ class TestBatch:
                     continue
                 assert grads[i].shape == (n, num_outputs)
                 assert np.array_equal(grads[i], one_grad[0])
-                assert np.array_equal(grads[i], ctc_grad(alone, y))
                 assert losses[i] == pytest.approx(reference, abs=1e-9)
                 gamma = helpers.brute_force_ctc_posterior(alone, y)
                 np.testing.assert_allclose(grads[i], np.exp(alone) - gamma,

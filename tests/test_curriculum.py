@@ -9,8 +9,8 @@ import helpers
 from snrtrain.audio import CLEAN
 from snrtrain.curriculum import (DEFAULT_SNR_GRID, Decision, EpochRecord,
                                  Schedule, StageController, build_stages,
-                                 format_schedule_file, grid_from_endpoints,
-                                 parse_schedule_file, sample_snr)
+                                 grid_from_endpoints, parse_schedule_file,
+                                 sample_snr, schedule_from_fields)
 from snrtrain.errors import DataError
 
 
@@ -195,12 +195,12 @@ class TestController:
 
 
 class TestScheduleFile:
-    def test_parse_round_trip(self, tmp_path):
-        schedule = Schedule("accan", patience=4, max_epochs=220)
+    def test_parse_every_key(self, tmp_path):
         path = tmp_path / "schedule.txt"
-        path.write_text(format_schedule_file(schedule))
-        back = parse_schedule_file(path)
-        assert back == schedule
+        path.write_text("kind = accan\nsnr_min = 0\nsnr_max = 50\nsnr_step = 5\n"
+                        "patience = 4\nmax_epochs = 220\n")
+        schedule = parse_schedule_file(path)
+        assert schedule == Schedule("accan", patience=4, max_epochs=220)
 
     def test_parse_with_comments(self, tmp_path):
         path = tmp_path / "schedule.txt"
@@ -216,6 +216,18 @@ class TestScheduleFile:
         assert schedule.kind == "accan_reversed"
         assert schedule.grid == DEFAULT_SNR_GRID
         assert schedule.resolved_max_epochs == 300
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "accan", "snr_min": 0, "snr_max": 50, "snr_step": 5,
+         "patience": 3, "max_epochs": 120},
+        {"kind": "multicondition", "patience": 2, "max_epochs": 6},
+        {"kind": "accan_reversed", "snr_min": -5, "snr_max": 20,
+         "snr_step": 2.5},
+    ])
+    def test_text_and_json_forms_agree(self, tmp_path, fields):
+        path = tmp_path / "schedule.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+        assert parse_schedule_file(path) == schedule_from_fields(fields, "a test")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "schedule.txt"

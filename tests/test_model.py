@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snrtrain.ctc import ctc_grad, ctc_loss
+from helpers import ctc_single
 from snrtrain.errors import DataError
 from snrtrain.model import (ModelConfig, RecurrentCtcModel, adam_init,
                             adam_step, load_checkpoint)
@@ -58,10 +58,10 @@ class TestBackward:
         labels = [0, 2, 1]
 
         def loss_now():
-            return ctc_loss(model.forward(feats), labels)
+            return ctc_single(model.forward(feats), labels)[0]
 
         outputs, cache = model.forward_batch([feats])
-        grads = model.backward_batch(cache, [ctc_grad(outputs[0], labels)])
+        grads = model.backward_batch(cache, [ctc_single(outputs[0], labels)[1]])
         step = 1e-5
         worst = 0.0
         for name in model.params:
@@ -87,12 +87,12 @@ class TestBackward:
         separate = {}
         for f, y in zip(feats, targets):
             outs, cache = model.forward_batch([f])
-            grads = model.backward_batch(cache, [ctc_grad(outs[0], y)])
+            grads = model.backward_batch(cache, [ctc_single(outs[0], y)[1]])
             for k, v in grads.items():
                 separate[k] = separate.get(k, 0.0) + v
         outs, cache = model.forward_batch(feats)
         together = model.backward_batch(
-            cache, [ctc_grad(o, y) for o, y in zip(outs, targets)])
+            cache, [ctc_single(o, y)[1] for o, y in zip(outs, targets)])
         for k in together:
             np.testing.assert_allclose(together[k], separate[k], atol=1e-12)
 
