@@ -268,27 +268,25 @@ class PipelineResult:
 
 
 def pipeline_run(controller: StageController, generate, consume, *,
-                 checkpoint_provider=None, on_restore=None, overlap: bool = True,
-                 start_epoch: int = 0, stop_after_epochs: int | None = None,
+                 overlap: bool = True, stop_after_epochs: int | None = None,
                  first: EpochData | None = None) -> PipelineResult:
-    """Drive epochs through the controller with one-deep generation prefetch.
+    """Drive epochs from controller.epoch_counter on, with one-deep prefetch.
 
     generate(epoch_index, stage_set) must be pure; consume(epoch_index,
-    EpochData) returns the epoch's dev metric. first, when given, is the
-    start epoch's data, already built by the caller. While an epoch trains,
-    the next one is generated speculatively under the same stage set; on a
-    stage switch the speculative epoch is discarded and regenerated, so
-    results are identical to sequential execution. Nothing is prefetched
-    while the run's last epoch trains: the one that reaches the schedule's
-    max_epochs or stop_after_epochs. At most two epoch datasets are live at
-    any instant, first included.
+    EpochData) trains on the epoch, advances the controller and returns its
+    Decision. first, when given, is the start epoch's data. While an epoch
+    trains, the next one is generated speculatively under the same stage
+    set; on a stage switch it is discarded and regenerated, so results are
+    identical to sequential execution. Nothing is prefetched while the run's
+    last epoch trains: the one that reaches the schedule's max_epochs or
+    stop_after_epochs. At most two epoch datasets are live at any instant,
+    first included.
     """
-    checkpoint_provider = checkpoint_provider or (lambda: None)
     live = 0
     max_live = 0
     live_lock = threading.Lock()
     epochs_this_run = 0
-    epoch = start_epoch
+    epoch = controller.epoch_counter
     max_epochs = controller.schedule.resolved_max_epochs
 
     def track(data):
@@ -314,15 +312,14 @@ def pipeline_run(controller: StageController, generate, consume, *,
                else tracked_generate(epoch, controller.stage_set))
     try:
         while True:
-            last = (controller.epoch_counter + 1 >= max_epochs
+            last = (epoch + 1 >= max_epochs
                     or (stop_after_epochs is not None
                         and epochs_this_run + 1 >= stop_after_epochs))
             future = None
             if overlap and not last:
                 future = executor.submit(tracked_generate, epoch + 1,
                                          controller.stage_set)
-            metric = consume(epoch, current)
-            decision = controller.advance(metric, checkpoint_provider())
+            decision = consume(epoch, current)
 
             speculative = None
             if future is not None:
@@ -336,8 +333,6 @@ def pipeline_run(controller: StageController, generate, consume, *,
             drop(current)
             epochs_this_run += 1
 
-            if decision is not Decision.CONTINUE and on_restore is not None:
-                on_restore(controller.best_checkpoint)
             if decision is Decision.TERMINATE:
                 drop(speculative)
                 break

@@ -10,6 +10,7 @@ bit, and overlapped generation matches sequential execution exactly.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Decision, Schedule, StageController
 from .errors import ComputeError, DataError
 from .features import NormStats, normalize, write_norm_stats
-from .model import ModelConfig, RecurrentCtcModel, adam_init, adam_step
+from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng
 from .wer import corpus_wer
 
@@ -47,6 +48,17 @@ class TrainConfig:
     overlap_generation: bool = field(default=True,
                                      metadata={"fingerprint": False})
 
+    def __post_init__(self):
+        for name in ("batch_size", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name!r} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(f"'learning_rate' must be finite and > 0, "
+                            f"got {self.learning_rate}")
+        if not (math.isfinite(self.gauss_sigma) and self.gauss_sigma >= 0):
+            raise DataError(f"'gauss_sigma' must be finite and >= 0, "
+                            f"got {self.gauss_sigma}")
+
     def fingerprint(self, schedule: Schedule, corpus_id: str) -> str:
         payload = json.dumps(
             {
@@ -67,6 +79,18 @@ class SwitchRecord:
     epoch: int
     best_hash: str
     restored_hash: str
+
+
+@dataclass
+class RunState:
+    """What a run saves at every epoch boundary and restores on resume."""
+
+    model: RecurrentCtcModel
+    adam: AdamState
+    controller: StageController
+    stats: NormStats | None = None
+    train_losses: list = field(default_factory=list)
+    switch_records: list = field(default_factory=list)
 
 
 @dataclass
@@ -134,7 +158,8 @@ def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
 
 def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
           config: TrainConfig, out_dir=None, stop_after: int | None = None) -> TrainResult:
-    """Run (or resume) a full curriculum training experiment."""
+    """Run (or resume) a full curriculum training experiment; with out_dir,
+    the state is saved after every epoch and a rerun resumes from there."""
     if stop_after is not None and stop_after < 1:
         raise DataError(f"stop_after must be >= 1, got {stop_after}")
     if not train_corpus or not dev_corpus:
@@ -151,7 +176,6 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     dev_refs = {u.utt_id: u.words for u in dev_corpus}
     corpus_id = corpus_fingerprint(train_corpus)
     fingerprint = config.fingerprint(schedule, corpus_id)
-    controller = StageController(schedule)
 
     def epoch_config(epoch_index, stage_set):
         return pem.EpochConfig(
@@ -169,46 +193,28 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         dropout=config.dropout,
         init_seed=derive_seed(config.master_seed, "init"),
     ))
-    adam = adam_init(model.params)
-    train_losses: list = []
-    switch_records: list = []
-    start_epoch = 0
-    stats = None
-
-    already_done = False
+    state = RunState(model, adam_init(model.params), StageController(schedule))
+    controller = state.controller
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-        meta_path = os.path.join(out_dir, STATE_META)
-        if os.path.exists(meta_path):
-            start_epoch, stats, already_done = _load_state(
-                out_dir, fingerprint, model, adam, controller, train_losses,
-                switch_records)
+        if os.path.exists(os.path.join(out_dir, STATE_META)):
+            _load_state(out_dir, fingerprint, state)
 
     first = None
-    if stats is None:
+    if state.stats is None:
         # a fresh run: epoch 0 is built from the renders the stats are fit on
         cfg0 = epoch_config(0, controller.stage_set)
         renders: dict = {}
-        stats = pem.fit_epoch_stats(cfg0, train_corpus, pool, renders)
-        first = pem.epoch_from_renders(cfg0, train_corpus, renders, stats)
+        state.stats = pem.fit_epoch_stats(cfg0, train_corpus, pool, renders)
+        first = pem.epoch_from_renders(cfg0, train_corpus, renders, state.stats)
         if out_dir is not None:
-            write_norm_stats(os.path.join(out_dir, "stats.feat"), stats)
-
-    dev_cache: dict = {}
-
-    def dev_pairs():
-        stage_index = controller.stage_index
-        if stage_index not in dev_cache:
-            dev_cache[stage_index] = _mixed_pairs(
-                dev_corpus, pool, stats, controller.stage_set,
-                config.master_seed, "dev", stage_index)
-        return dev_cache[stage_index]
+            write_norm_stats(os.path.join(out_dir, "stats.feat"), state.stats)
 
     def generate(epoch_index, stage_set):
         return pem.generate_epoch(epoch_config(epoch_index, stage_set),
-                                  train_corpus, pool, stats)
+                                  train_corpus, pool, state.stats)
 
+    dev_cache: dict = {}
     manifests: list = []
 
     def consume(epoch_index, data):
@@ -234,53 +240,47 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
                 total_loss += loss
             grads = model.backward_batch(
                 cache, [g / len(batch_ids) for g in dlogits])
-            adam_step(model.params, grads, adam,
+            adam_step(model.params, grads, state.adam,
                       learning_rate=config.learning_rate, beta1=config.beta1,
                       beta2=config.beta2, eps=config.adam_eps)
-        train_losses.append(total_loss / len(train_corpus))
+        state.train_losses.append(total_loss / len(train_corpus))
 
-        hyps = decode_utterances(model, alphabet, dev_pairs(), config.batch_size)
-        dev_wer = corpus_wer(dev_refs, hyps)
+        stage_index = controller.stage_index
+        if stage_index not in dev_cache:
+            dev_cache[stage_index] = _mixed_pairs(
+                dev_corpus, pool, state.stats, controller.stage_set,
+                config.master_seed, "dev", stage_index)
+        hyps = decode_utterances(model, alphabet, dev_cache[stage_index],
+                                 config.batch_size)
+        decision = controller.advance(corpus_wer(dev_refs, hyps),
+                                      (model.copy_params(), model.param_hash()))
+        if decision is not Decision.CONTINUE:
+            params, best_hash = controller.best_checkpoint
+            model.set_params(params)
+            state.switch_records.append(SwitchRecord(
+                controller.epoch_counter, best_hash, model.param_hash()))
 
+        manifests.append(data.manifest)
         if out_dir is not None:
             data.manifest.write(os.path.join(
                 out_dir, "manifests", f"epoch_{epoch_index:04d}.manifest"))
-        manifests.append(data.manifest)
-        return dev_wer
+            _save_state(out_dir, fingerprint, state)
+        return decision
 
-    def checkpoint_provider():
-        return (model.copy_params(), model.param_hash())
-
-    def on_restore(checkpoint):
-        params, best_hash = checkpoint
-        model.set_params(params)
-        switch_records.append(SwitchRecord(controller.epoch_counter, best_hash,
-                                           model.param_hash()))
-
+    records = controller.records
+    already_done = bool(records) and records[-1].decision is Decision.TERMINATE
     if already_done:
         # the saved run already terminated; report it without training more
         result = pem.PipelineResult("terminated", 0, 0)
     else:
-        result = pem.pipeline_run(
-            controller, generate, consume,
-            checkpoint_provider=checkpoint_provider,
-            on_restore=on_restore,
-            overlap=config.overlap_generation,
-            start_epoch=start_epoch,
-            stop_after_epochs=stop_after,
-            first=first,
-        )
+        result = pem.pipeline_run(controller, generate, consume,
+                                  overlap=config.overlap_generation,
+                                  stop_after_epochs=stop_after, first=first)
 
-    records = controller.records
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"
-                 for r, loss in zip(records, train_losses)]
-    best_hash = (controller.best_checkpoint[1]
-                 if controller.best_checkpoint is not None else model.param_hash())
+                 for r, loss in zip(records, state.train_losses)]
 
     if out_dir is not None and not already_done:
-        _save_state(out_dir, fingerprint, model, adam, controller, stats,
-                    start_epoch + result.epochs_completed, train_losses,
-                    switch_records, result.status)
         with open(os.path.join(out_dir, "train_log.tsv"), "w") as fh:
             fh.write("\n".join(log_lines) + "\n")
         with open(os.path.join(out_dir, "stage_log.tsv"), "w") as fh:
@@ -294,72 +294,81 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         epochs_run=result.epochs_completed,
         log_lines=log_lines,
         dev_wers=[r.dev_wer for r in records],
-        switch_records=switch_records,
+        switch_records=state.switch_records,
         stage_entry_count=1 + sum(r.decision is Decision.SWITCH_STAGE
                                   for r in records),
         model=model,
-        stats=stats,
-        best_hash=best_hash,
+        stats=state.stats,
+        best_hash=controller.best_checkpoint[1],
         max_live_epochs=result.max_live_epochs,
         alphabet=alphabet,
         manifests=manifests,
     )
 
 
-def _save_state(out_dir, fingerprint, model, adam, controller, stats,
-                epochs_done, train_losses, switch_records, status) -> None:
+def _save_state(out_dir, fingerprint, state: RunState) -> None:
+    """Write state.npz, then state.json with the digest of its bytes, each
+    through a temporary file and os.replace, so neither is seen half written."""
+    controller = state.controller
     arrays = {}
-    for k, v in model.params.items():
+    for k, v in state.model.params.items():
         arrays[f"param:{k}"] = v
-    for k, v in adam.m.items():
+    for k, v in state.adam.m.items():
         arrays[f"adam_m:{k}"] = v
-    for k, v in adam.v.items():
+    for k, v in state.adam.v.items():
         arrays[f"adam_v:{k}"] = v
-    if controller.best_checkpoint is not None:
-        for k, v in controller.best_checkpoint[0].items():
-            arrays[f"best:{k}"] = v
-    arrays["stats:mean"] = stats.mean
-    arrays["stats:std"] = stats.std
-    np.savez(os.path.join(out_dir, STATE_ARRAYS), **arrays)
+    for k, v in controller.best_checkpoint[0].items():
+        arrays[f"best:{k}"] = v
+    arrays["stats:mean"] = state.stats.mean
+    arrays["stats:std"] = state.stats.std
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    payload = buffer.getvalue()
     meta = {
         "fingerprint": fingerprint,
-        "epochs_done": epochs_done,
-        "adam_step": adam.step,
-        "stats_count": stats.sample_count,
+        "arrays_digest": hashlib.blake2b(payload, digest_size=16).hexdigest(),
+        "adam_step": state.adam.step,
+        "stats_count": state.stats.sample_count,
         "controller": controller.to_state(),
-        "best_hash": (controller.best_checkpoint[1]
-                      if controller.best_checkpoint is not None else None),
-        "train_losses": train_losses,
+        "best_hash": controller.best_checkpoint[1],
+        "train_losses": state.train_losses,
         "switch_records": [[r.epoch, r.best_hash, r.restored_hash]
-                           for r in switch_records],
-        "status": status,
+                           for r in state.switch_records],
     }
-    with open(os.path.join(out_dir, STATE_META), "w") as fh:
-        json.dump(meta, fh, indent=2)
+    for name, data in ((STATE_ARRAYS, payload),
+                       (STATE_META, json.dumps(meta, indent=2).encode())):
+        path = os.path.join(out_dir, name)
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(data)
+        os.replace(path + ".tmp", path)
 
 
-def _load_state(out_dir, fingerprint, model, adam, controller, train_losses,
-                switch_records):
+def _load_state(out_dir, fingerprint, state: RunState) -> None:
     with open(os.path.join(out_dir, STATE_META)) as fh:
         meta = json.load(fh)
     if meta["fingerprint"] != fingerprint:
         raise DataError(
             f"{out_dir}: saved run has fingerprint {meta['fingerprint']}, "
             f"current configuration has {fingerprint}; refusing to resume")
-    with np.load(os.path.join(out_dir, STATE_ARRAYS)) as arrays:
+    with open(os.path.join(out_dir, STATE_ARRAYS), "rb") as fh:
+        payload = fh.read()
+    digest = meta.get("arrays_digest")
+    if digest != hashlib.blake2b(payload, digest_size=16).hexdigest():
+        problem = "does not match the digest in" if digest else "has no digest in"
+        raise DataError(f"{out_dir}: {STATE_ARRAYS} {problem} {STATE_META}; "
+                        "refusing to resume")
+    model, adam = state.model, state.adam
+    with np.load(io.BytesIO(payload)) as arrays:
         for k in model.params:
             model.params[k] = arrays[f"param:{k}"].copy()
             adam.m[k] = arrays[f"adam_m:{k}"].copy()
             adam.v[k] = arrays[f"adam_v:{k}"].copy()
-        best = None
-        if meta["best_hash"] is not None:
-            best_params = {k: arrays[f"best:{k}"].copy() for k in model.params}
-            best = (best_params, meta["best_hash"])
-        stats = NormStats(arrays["stats:mean"].copy(), arrays["stats:std"].copy(),
-                          int(meta["stats_count"]))
+        best = ({k: arrays[f"best:{k}"].copy() for k in model.params},
+                meta["best_hash"])
+        state.stats = NormStats(arrays["stats:mean"].copy(),
+                                arrays["stats:std"].copy(), int(meta["stats_count"]))
     adam.step = int(meta["adam_step"])
-    controller.restore_state(meta["controller"], best_checkpoint=best)
-    train_losses.extend(meta["train_losses"])
-    switch_records.extend(SwitchRecord(e, b, r)
-                          for e, b, r in meta["switch_records"])
-    return int(meta["epochs_done"]), stats, meta["status"] == "terminated"
+    state.controller.restore_state(meta["controller"], best_checkpoint=best)
+    state.train_losses.extend(meta["train_losses"])
+    state.switch_records.extend(SwitchRecord(e, b, r)
+                                for e, b, r in meta["switch_records"])

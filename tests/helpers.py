@@ -2,14 +2,18 @@
 
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, fsum two-pass statistics,
-memoized recursion, periodogram regression, linear programming. The one
-exception, `ctc_single`, is not an oracle: it scores one sequence through
-the library's batched CTC so that the oracles can be compared with it.
+memoized recursion, periodogram regression, linear programming. Two
+helpers are not oracles: `ctc_single` scores one sequence through the
+library's batched CTC so that the oracles can be compared with it, and
+`file_digests` fingerprints a run directory so that two runs can be compared
+file by file.
 """
 
+import hashlib
 import itertools
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -90,6 +94,13 @@ def ctc_single(log_probs, labels):
     log_probs = np.asarray(log_probs, dtype=np.float64)
     losses, grads = ctc_loss_and_grad(log_probs[:, None], [len(log_probs)], [labels])
     return float(losses[0]), grads[0]
+
+
+def file_digests(root) -> dict:
+    """blake2b digest of every file under root, by its path relative to root."""
+    root = Path(root)
+    return {path.relative_to(root).as_posix(): hashlib.blake2b(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def loop_ctc_loss_and_grad(log_probs, labels):

@@ -320,6 +320,10 @@ class TestTrainCommand:
         ("schedule file", "patience", "x"),
         ("trainer", "learning_rate", "fast"),
         ("trainer", "overlap_generation", "false"),
+        ("trainer", "batch_size", 0),
+        ("trainer", "hidden_size", 0),
+        ("trainer", "learning_rate", -0.5),
+        ("features", "gauss_sigma", -1),
         ("corpus", "seed", None),
         ("noise", "seed", None),
     ])
@@ -373,6 +377,27 @@ class TestTrainCommand:
         proc = run_cli("train", "--config", str(path))
         assert proc.returncode == 2
         assert "epoch records" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("damage", ["flipped_byte", "no_digest"])
+    def test_state_arrays_not_matching_digest_exit_2(self, tmp_path, damage):
+        path = write_train_config(tmp_path, kind="multicondition", patience=2,
+                                  max_epochs=4)
+        assert run_cli("train", "--config", str(path),
+                       "--stop-after", "1").returncode == 0
+        run_dir = tmp_path / "run"
+        if damage == "flipped_byte":
+            arrays = bytearray((run_dir / "state.npz").read_bytes())
+            arrays[len(arrays) // 2] ^= 0x01
+            (run_dir / "state.npz").write_bytes(bytes(arrays))
+        else:
+            # the format written before state.json recorded the digest
+            meta = json.loads((run_dir / "state.json").read_text())
+            del meta["arrays_digest"]
+            (run_dir / "state.json").write_text(json.dumps(meta, indent=2))
+        proc = run_cli("train", "--config", str(path))
+        assert proc.returncode == 2
+        assert "state.npz" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_schedule_file_reference(self, tmp_path):

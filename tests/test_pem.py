@@ -163,12 +163,13 @@ class TestFirstEpoch:
         assert renders == {}  # every raw matrix was released
 
 
-def scripted_metrics(values):
+def scripted_metrics(controller, values):
+    """A consume callback that advances controller by the next of values."""
     values = iter(values)
 
     def consume(epoch_index, data):
         assert not data.discarded
-        return next(values)
+        return controller.advance(next(values))
 
     return consume
 
@@ -206,7 +207,7 @@ class TestPipelineRun:
 
             def consume(epoch_index, data, it=iter(trace)):
                 manifests.append(data.manifest)
-                return next(it)
+                return controller.advance(next(it))
 
             pipeline_run(controller, generate, consume, overlap=overlap,
                          stop_after_epochs=len(trace))
@@ -220,14 +221,15 @@ class TestPipelineRun:
 
         def slow_consume(epoch_index, data):
             time.sleep(0.02)  # slower trainer than generator
-            return 50.0 - epoch_index
+            return controller.advance(50.0 - epoch_index)
 
         result = pipeline_run(controller, generate, slow_consume, overlap=True)
         assert result.max_live_epochs <= 2
 
     def test_single_epoch_degenerates(self, small_setup):
         controller, generate = self.make_parts(small_setup, max_epochs=1)
-        result = pipeline_run(controller, generate, scripted_metrics([10.0]))
+        result = pipeline_run(controller, generate,
+                              scripted_metrics(controller, [10.0]))
         assert result.status == "terminated"
         assert result.epochs_completed == 1
 
@@ -238,7 +240,8 @@ class TestPipelineRun:
 
         def consume(epoch_index, data):
             seen_stages.append(sorted({r.snr for r in data.manifest.records}))
-            return 10.0  # never improves after epoch 1 -> switch every patience
+            # never improves after epoch 1 -> switch every patience
+            return controller.advance(10.0)
 
         pipeline_run(controller, generate, consume, overlap=True)
         # stage 0 draws only 0 dB; later stages admit higher values
@@ -259,20 +262,11 @@ class TestPipelineRun:
 
         def consume(epoch_index, data):
             consumed.append(epoch_index)
-            return 10.0
+            return controller.advance(10.0)
 
         with pytest.raises(ComputeError, match="generation failed"):
             pipeline_run(controller, flaky_generate, consume, overlap=True)
         assert consumed == [0]  # epoch 0 finished training before the abort
-
-    def test_restore_called_on_switch_and_terminate(self, small_setup):
-        controller, generate = self.make_parts(small_setup, patience=1,
-                                               max_epochs=6)
-        restored = []
-        pipeline_run(controller, generate, scripted_metrics([9, 9, 9, 9, 9, 9]),
-                     checkpoint_provider=lambda: controller.epoch_counter,
-                     on_restore=restored.append)
-        assert restored  # at least the stage switches restored a checkpoint
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_no_prefetch_past_the_last_epoch(self, small_setup, overlap):
@@ -284,7 +278,7 @@ class TestPipelineRun:
 
         def consume(epoch_index, data):
             consumed.append(epoch_index)
-            return 10.0
+            return controller.advance(10.0)
 
         result = pipeline_run(controller, counting_generate, consume,
                               overlap=overlap)
@@ -298,7 +292,8 @@ class TestPipelineRun:
         counting_generate, generated = counting(generate)
 
         result = pipeline_run(controller, counting_generate,
-                              scripted_metrics([10.0] * 3), stop_after_epochs=3)
+                              scripted_metrics(controller, [10.0] * 3),
+                              stop_after_epochs=3)
         assert result.status == "stopped"
         assert generated == [0, 1, 2]
 
@@ -312,7 +307,7 @@ class TestPipelineRun:
 
         def consume(epoch_index, data):
             seen.append(data)
-            return 10.0
+            return controller.advance(10.0)
 
         result = pipeline_run(controller, counting_generate, consume, first=first)
         assert seen[0] is first and first.discarded

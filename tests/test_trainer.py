@@ -4,7 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from snrtrain import features
+from helpers import file_digests
+from snrtrain import features, trainer
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
 from snrtrain.errors import ComputeError, DataError
@@ -157,6 +158,9 @@ def test_stage_switch_restores_stage_best_weights(tiny_setup):
     for record in result.switch_records:
         assert record.best_hash == record.restored_hash
     assert result.stage_entry_count >= 2
+    # the terminating epoch restores the last stage's best weights too
+    assert result.model.param_hash() == result.best_hash
+    assert result.switch_records[-1].epoch == result.epochs_run
 
 
 def test_dev_wer_positive_and_logged(tiny_setup):
@@ -205,6 +209,39 @@ def test_resume_matches_uninterrupted_run(tiny_setup, tmp_path):
         (full_dir / "train_log.tsv").read_text()
     manifests = sorted(p.name for p in (resumed_dir / "manifests").iterdir())
     assert manifests == [f"epoch_{i:04d}.manifest" for i in range(full.epochs_run)]
+
+
+def test_crashed_run_resumes_from_its_last_epoch(tiny_setup, tmp_path,
+                                                 monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("accan", patience=1, max_epochs=10)
+    full_dir = tmp_path / "full"
+    full = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                 out_dir=full_dir)
+    # the resumed part restores stage-best weights at a switch and at the stop
+    assert full.epochs_run == 10 and len(full.switch_records) == 2
+
+    crashed_dir = tmp_path / "crashed"
+    calls = []
+    corpus_wer = trainer.corpus_wer
+
+    def failing_wer(refs, hyps):
+        calls.append(None)
+        if len(calls) == 5:
+            raise RuntimeError("injected failure")
+        return corpus_wer(refs, hyps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "corpus_wer", failing_wer)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                  out_dir=crashed_dir)
+    resumed = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                    out_dir=crashed_dir)
+    assert resumed.epochs_run == 6  # epochs 1-4 were saved before the crash
+    assert resumed.log_lines == full.log_lines
+    assert file_digests(crashed_dir) == file_digests(full_dir)
+    assert not list(crashed_dir.rglob("*.tmp"))
 
 
 def test_resume_rejects_changed_config(tiny_setup, tmp_path):
