@@ -175,7 +175,7 @@ def load_run_config(path) -> dict:
 # keep TrainConfig's defaults
 _CONFIG_KEYS = {
     "trainer": {"learning_rate": float, "batch_size": int, "dropout": float,
-                "hidden_size": int, "overlap_generation": bool},
+                "hidden_size": int},
     "features": {"gauss_sigma": float},
 }
 

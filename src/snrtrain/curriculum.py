@@ -78,13 +78,11 @@ def build_stages(schedule: Schedule) -> list[tuple]:
     return [descending[:i] for i in range(1, len(descending) + 1)]
 
 
-def sample_snr(stage_set, rng: np.random.Generator, allow_clean: bool = False):
-    """Uniform draw from a stage's SNR set."""
+def sample_snr(stage_set, rng: np.random.Generator):
+    """Uniform draw from a stage's SNR set (which may hold CLEAN)."""
     stage_set = tuple(stage_set)
     if not stage_set:
         raise DataError("SNR stage set must not be empty")
-    if not allow_clean and CLEAN in stage_set:
-        raise DataError("clean sentinel not allowed in this draw")
     return stage_set[int(rng.integers(0, len(stage_set)))]
 
 

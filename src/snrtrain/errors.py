@@ -6,8 +6,7 @@ to exit code 1 (numerical failure mid-run).
 """
 
 _REQUIRED = object()
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class DataError(ValueError):
@@ -15,7 +14,7 @@ class DataError(ValueError):
 
 
 class ComputeError(RuntimeError):
-    """A computation failed (non-finite loss, generation failure, ...)."""
+    """A computation failed (non-finite loss, regeneration mismatch, ...)."""
 
 
 def check_keys(fields: dict, allowed, where: str) -> None:
@@ -27,18 +26,18 @@ def check_keys(fields: dict, allowed, where: str) -> None:
 
 
 def field_value(fields: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """fields[key] as `kind` (bool, int, float or str), or `default` when the
-    key is absent. Text is parsed as a number (a schedule file's values are
-    text); a bool or a string must already be one, no number reads a bool and
-    an integer refuses a fraction. Anything else raises DataError naming the
-    key and `where`."""
+    """fields[key] as `kind` (int, float or str), or `default` when the key
+    is absent. Text is parsed as a number (a schedule file's values are
+    text); a string must already be one, a JSON true or false is no number
+    and an integer refuses a fraction. Anything else raises DataError naming
+    the key and `where`."""
     if key not in fields:
         if default is _REQUIRED:
             raise DataError(f"{where} needs the key {key!r}")
         return default
     value = fields[key]
     try:
-        if kind in (bool, str) or isinstance(value, bool):
+        if kind is str or isinstance(value, bool):
             if type(value) is not kind:
                 raise TypeError
             return value

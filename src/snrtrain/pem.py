@@ -5,12 +5,10 @@ noise segment and a new SNR from the current stage set, is featurized,
 normalized with frozen stats, and optionally perturbed with feature-level
 Gaussian noise. All draws derive from a per-item seed
 blake2b(master_seed, epoch_index, utterance_id), so any item regenerates
-independently of scheduling, and a manifest records every choice. Epoch
-data is discarded after training to a footprint of just the manifest; a
-one-deep prefetch overlaps next-epoch generation with training on the
-current epoch. Nothing is prefetched past the run's last epoch (max_epochs
-or stop_after_epochs); only a stage switch or a patience stop, which cannot
-be known ahead, discards a speculative epoch. A fresh run renders epoch 0 once:
+independently of scheduling, and a manifest records every choice. Epochs
+are generated and trained in turn, and each epoch's data is discarded after
+training to a footprint of just the manifest, so no epoch is generated that
+is not trained on. A fresh run renders epoch 0 once:
 fit_epoch_stats fits the normalization stats on its raw renders, and
 epoch_from_renders builds epoch 0 from those same renders.
 
@@ -23,8 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +164,7 @@ def draw_choice(rng: np.random.Generator, pool: NoisePool, length: int,
                 stage_set) -> tuple:
     """(noise offset, SNR) for one item: the offset is drawn first."""
     offset = audio.sample_segment_offset(pool, length, rng)
-    return offset, curriculum.sample_snr(stage_set, rng, allow_clean=True)
+    return offset, curriculum.sample_snr(stage_set, rng)
 
 
 def render(utterance, pool: NoisePool, offset: int, snr) -> np.ndarray:
@@ -264,93 +260,31 @@ def fit_epoch_stats(cfg: EpochConfig, corpus, pool: NoisePool,
 class PipelineResult:
     status: str  # "terminated" | "stopped"
     epochs_completed: int
-    max_live_epochs: int
 
 
 def pipeline_run(controller: StageController, generate, consume, *,
-                 overlap: bool = True, stop_after_epochs: int | None = None,
+                 stop_after_epochs: int | None = None,
                  first: EpochData | None = None) -> PipelineResult:
-    """Drive epochs from controller.epoch_counter on, with one-deep prefetch.
+    """Generate and train epochs in turn, from controller.epoch_counter on.
 
     generate(epoch_index, stage_set) must be pure; consume(epoch_index,
     EpochData) trains on the epoch, advances the controller and returns its
-    Decision. first, when given, is the start epoch's data. While an epoch
-    trains, the next one is generated speculatively under the same stage
-    set; on a stage switch it is discarded and regenerated, so results are
-    identical to sequential execution. Nothing is prefetched while the run's
-    last epoch trains: the one that reaches the schedule's max_epochs or
-    stop_after_epochs. At most two epoch datasets are live at any instant,
-    first included.
+    Decision. first, when given, is the start epoch's data. Each epoch is
+    generated under the stage set in force once the previous one is
+    consumed, and discarded before the next is generated, so one epoch's
+    features at most are live. The run ends on TERMINATE or after
+    stop_after_epochs epochs.
     """
-    live = 0
-    max_live = 0
-    live_lock = threading.Lock()
-    epochs_this_run = 0
     epoch = controller.epoch_counter
-    max_epochs = controller.schedule.resolved_max_epochs
-
-    def track(data):
-        nonlocal live, max_live
-        with live_lock:
-            live += 1
-            max_live = max(max_live, live)
-        return data
-
-    def tracked_generate(index, stage_set):
-        return track(generate(index, stage_set))
-
-    def drop(data):
-        nonlocal live
-        if data is not None and not data.discarded:
-            data.discard()
-            with live_lock:
-                live -= 1
-
-    executor = ThreadPoolExecutor(max_workers=1) if overlap else None
-    status = "terminated"
-    current = (track(first) if first is not None
-               else tracked_generate(epoch, controller.stage_set))
-    try:
-        while True:
-            last = (epoch + 1 >= max_epochs
-                    or (stop_after_epochs is not None
-                        and epochs_this_run + 1 >= stop_after_epochs))
-            future = None
-            if overlap and not last:
-                future = executor.submit(tracked_generate, epoch + 1,
-                                         controller.stage_set)
-            decision = consume(epoch, current)
-
-            speculative = None
-            if future is not None:
-                try:
-                    speculative = future.result()
-                except Exception as err:
-                    drop(current)
-                    raise ComputeError(
-                        f"epoch {epoch + 1} generation failed: {err}"
-                    ) from err
-            drop(current)
-            epochs_this_run += 1
-
-            if decision is Decision.TERMINATE:
-                drop(speculative)
-                break
-            if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs:
-                drop(speculative)
-                status = "stopped"
-                break
-
-            epoch += 1
-            if decision is Decision.SWITCH_STAGE:
-                drop(speculative)
-                current = tracked_generate(epoch, controller.stage_set)
-            elif speculative is not None:
-                current = speculative
-            else:
-                current = tracked_generate(epoch, controller.stage_set)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    return PipelineResult(status, epochs_this_run, max_live)
+    data = first if first is not None else generate(epoch, controller.stage_set)
+    epochs_this_run = 0
+    while True:
+        decision = consume(epoch, data)
+        data.discard()
+        epochs_this_run += 1
+        if decision is Decision.TERMINATE:
+            return PipelineResult("terminated", epochs_this_run)
+        if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs:
+            return PipelineResult("stopped", epochs_this_run)
+        epoch += 1
+        data = generate(epoch, controller.stage_set)

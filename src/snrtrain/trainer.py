@@ -1,10 +1,11 @@
 """Training loop: per-epoch data regeneration, CTC/Adam updates, dev-WER
 monitoring, patience-driven stage switching, and resumable state.
 
-Every source of randomness (segment offsets, SNR draws, feature injection,
-batch shuffling, dropout masks, dev-set mixing) is derived from the master
-seed by hashing, so reruns and resumed runs reproduce training logs bit for
-bit, and overlapped generation matches sequential execution exactly.
+Each epoch's data is generated, trained on and discarded before the next
+epoch is generated. Every source of randomness (segment offsets, SNR draws,
+feature injection, batch shuffling, dropout masks, dev-set mixing) is
+derived from the master seed by hashing, so reruns and resumed runs
+reproduce training logs bit for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class TrainConfig:
     dropout: float = 0.3
     hidden_size: int = 64
     gauss_sigma: float = 0.6
-    # overlapped generation matches sequential bit for bit, so a resumed run
-    # may switch it: the one field left out of the fingerprint
-    overlap_generation: bool = field(default=True,
-                                     metadata={"fingerprint": False})
 
     def __post_init__(self):
         for name in ("batch_size", "hidden_size"):
@@ -62,9 +59,7 @@ class TrainConfig:
     def fingerprint(self, schedule: Schedule, corpus_id: str) -> str:
         payload = json.dumps(
             {
-                "config": {f.name: getattr(self, f.name)
-                           for f in fields(self)
-                           if f.metadata.get("fingerprint", True)},
+                "config": {f.name: getattr(self, f.name) for f in fields(self)},
                 "schedule": [schedule.kind, [str(v) for v in schedule.grid],
                              schedule.patience, schedule.resolved_max_epochs],
                 "corpus": corpus_id,
@@ -104,9 +99,10 @@ class TrainResult:
     model: RecurrentCtcModel
     stats: NormStats
     best_hash: str
-    max_live_epochs: int
     alphabet: LabelAlphabet
     manifests: list = field(default_factory=list)
+    # epochs are generated and trained in turn, so one is live at a time
+    max_live_epochs: int = 1
 
 
 def corpus_fingerprint(corpus) -> str:
@@ -271,10 +267,9 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     already_done = bool(records) and records[-1].decision is Decision.TERMINATE
     if already_done:
         # the saved run already terminated; report it without training more
-        result = pem.PipelineResult("terminated", 0, 0)
+        result = pem.PipelineResult("terminated", 0)
     else:
         result = pem.pipeline_run(controller, generate, consume,
-                                  overlap=config.overlap_generation,
                                   stop_after_epochs=stop_after, first=first)
 
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"
@@ -300,15 +295,17 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         model=model,
         stats=state.stats,
         best_hash=controller.best_checkpoint[1],
-        max_live_epochs=result.max_live_epochs,
         alphabet=alphabet,
         manifests=manifests,
     )
 
 
 def _save_state(out_dir, fingerprint, state: RunState) -> None:
-    """Write state.npz, then state.json with the digest of its bytes, each
-    through a temporary file and os.replace, so neither is seen half written."""
+    """Write state.npz and state.json, which records the digest of the npz
+    bytes, to temporary files, then os.replace each into place, npz first.
+    Neither is ever seen half written, and after a crash between the two
+    renames state.json.tmp holds the new state.npz's digest, from which
+    _load_state completes the save."""
     controller = state.controller
     arrays = {}
     for k, v in state.model.params.items():
@@ -335,28 +332,62 @@ def _save_state(out_dir, fingerprint, state: RunState) -> None:
         "switch_records": [[r.epoch, r.best_hash, r.restored_hash]
                            for r in state.switch_records],
     }
+    paths = []
     for name, data in ((STATE_ARRAYS, payload),
                        (STATE_META, json.dumps(meta, indent=2).encode())):
-        path = os.path.join(out_dir, name)
-        with open(path + ".tmp", "wb") as fh:
+        paths.append(os.path.join(out_dir, name))
+        with open(paths[-1] + ".tmp", "wb") as fh:
             fh.write(data)
+    for path in paths:
         os.replace(path + ".tmp", path)
 
 
+def _read_meta(path) -> dict:
+    """The JSON object in a state.json file, or DataError naming the file."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+    except ValueError as err:
+        raise DataError(f"{path} is not valid JSON ({err}); refusing to resume") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path} does not hold a JSON object; refusing to resume")
+    return meta
+
+
 def _load_state(out_dir, fingerprint, state: RunState) -> None:
-    with open(os.path.join(out_dir, STATE_META)) as fh:
-        meta = json.load(fh)
-    if meta["fingerprint"] != fingerprint:
+    """Restore state from out_dir. A state that is damaged or does not
+    match the current configuration raises DataError naming the file."""
+    meta_path = os.path.join(out_dir, STATE_META)
+    meta = _read_meta(meta_path)
+    if meta.get("fingerprint") != fingerprint:
         raise DataError(
-            f"{out_dir}: saved run has fingerprint {meta['fingerprint']}, "
+            f"{out_dir}: saved run has fingerprint {meta.get('fingerprint')}, "
             f"current configuration has {fingerprint}; refusing to resume")
     with open(os.path.join(out_dir, STATE_ARRAYS), "rb") as fh:
         payload = fh.read()
-    digest = meta.get("arrays_digest")
-    if digest != hashlib.blake2b(payload, digest_size=16).hexdigest():
-        problem = "does not match the digest in" if digest else "has no digest in"
+    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    if meta.get("arrays_digest") != digest and os.path.exists(meta_path + ".tmp"):
+        # a save stopped between its two renames: finish it
+        pending = _read_meta(meta_path + ".tmp")
+        if (pending.get("fingerprint") == fingerprint
+                and pending.get("arrays_digest") == digest):
+            os.replace(meta_path + ".tmp", meta_path)
+            meta = pending
+    if meta.get("arrays_digest") != digest:
+        problem = ("does not match the digest in" if meta.get("arrays_digest")
+                   else "has no digest in")
         raise DataError(f"{out_dir}: {STATE_ARRAYS} {problem} {STATE_META}; "
                         "refusing to resume")
+    try:
+        _restore(meta, payload, state)
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{meta_path} is damaged ({type(err).__name__}: {err}); "
+                        "refusing to resume") from None
+
+
+def _restore(meta: dict, payload: bytes, state: RunState) -> None:
     model, adam = state.model, state.adam
     with np.load(io.BytesIO(payload)) as arrays:
         for k in model.params:

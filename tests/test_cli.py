@@ -299,6 +299,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("section,key", [("trainer", "learning_rat"),
                                              ("trainer", "workers"),
+                                             ("trainer", "overlap_generation"),
                                              ("features", "gauss_sigm"),
                                              ("schedule", "patiense"),
                                              (None, "trainr")])
@@ -319,8 +320,8 @@ class TestTrainCommand:
         ("schedule", "patience", "x"),
         ("schedule file", "patience", "x"),
         ("trainer", "learning_rate", "fast"),
-        ("trainer", "overlap_generation", "false"),
         ("trainer", "batch_size", 0),
+        ("trainer", "batch_size", True),
         ("trainer", "hidden_size", 0),
         ("trainer", "learning_rate", -0.5),
         ("features", "gauss_sigma", -1),
@@ -379,25 +380,37 @@ class TestTrainCommand:
         assert "epoch records" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("damage", ["flipped_byte", "no_digest"])
+    @pytest.mark.parametrize("damage", ["flipped_byte", "no_digest",
+                                        "truncated_json", "no_adam_step",
+                                        "top_level_list"])
     def test_state_arrays_not_matching_digest_exit_2(self, tmp_path, damage):
         path = write_train_config(tmp_path, kind="multicondition", patience=2,
                                   max_epochs=4)
         assert run_cli("train", "--config", str(path),
                        "--stop-after", "1").returncode == 0
         run_dir = tmp_path / "run"
+        meta_path = run_dir / "state.json"
+        meta = json.loads(meta_path.read_text())
         if damage == "flipped_byte":
             arrays = bytearray((run_dir / "state.npz").read_bytes())
             arrays[len(arrays) // 2] ^= 0x01
             (run_dir / "state.npz").write_bytes(bytes(arrays))
-        else:
+        elif damage == "no_digest":
             # the format written before state.json recorded the digest
-            meta = json.loads((run_dir / "state.json").read_text())
             del meta["arrays_digest"]
-            (run_dir / "state.json").write_text(json.dumps(meta, indent=2))
+            meta_path.write_text(json.dumps(meta, indent=2))
+        elif damage == "truncated_json":
+            meta_path.write_text(meta_path.read_text()[:100])
+        elif damage == "no_adam_step":
+            del meta["adam_step"]
+            meta_path.write_text(json.dumps(meta, indent=2))
+        else:
+            meta_path.write_text(json.dumps([meta]))
         proc = run_cli("train", "--config", str(path))
         assert proc.returncode == 2
-        assert "state.npz" in proc.stderr
+        assert "state.json" in proc.stderr
+        if damage in ("flipped_byte", "no_digest"):
+            assert "state.npz" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_schedule_file_reference(self, tmp_path):

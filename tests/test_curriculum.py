@@ -87,9 +87,7 @@ class TestSampleSnr:
 
     def test_clean_guard(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(DataError):
-            sample_snr((CLEAN,), rng)
-        assert sample_snr((CLEAN,), rng, allow_clean=True) == CLEAN
+        assert sample_snr((CLEAN,), rng) == CLEAN
 
 
 class TestController:

@@ -1,10 +1,8 @@
-import time
-
 import numpy as np
 import pytest
 
 from snrtrain.audio import CLEAN, NoisePool
-from snrtrain.curriculum import Schedule, StageController
+from snrtrain.curriculum import Decision, Schedule, StageController
 from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
 from snrtrain.pem import (EpochConfig, EpochManifest, epoch_from_renders,
@@ -197,34 +195,25 @@ class TestPipelineRun:
 
         return controller, generate
 
-    def test_overlap_matches_sequential(self, small_setup):
-        # controller follows a scripted WER trace with a stage switch inside
-        trace = [30.0, 20.0, 21.0, 22.0, 15.0, 15.0, 16.0, 14.0, 14.5, 14.4]
-        runs = {}
-        for overlap in (False, True):
-            controller, generate = self.make_parts(small_setup)
-            manifests = []
-
-            def consume(epoch_index, data, it=iter(trace)):
-                manifests.append(data.manifest)
-                return controller.advance(next(it))
-
-            pipeline_run(controller, generate, consume, overlap=overlap,
-                         stop_after_epochs=len(trace))
-            runs[overlap] = (manifests, controller.records)
-        assert runs[False][0] == runs[True][0]
-        assert runs[False][1] == runs[True][1]
-
-    def test_buffer_never_exceeds_two(self, small_setup):
+    def test_each_epoch_is_discarded_before_the_next_is_generated(self,
+                                                                  small_setup):
         controller, generate = self.make_parts(small_setup, patience=1,
-                                               max_epochs=12)
+                                               max_epochs=8)
+        first = generate(0, controller.stage_set)
+        made = [first]
 
-        def slow_consume(epoch_index, data):
-            time.sleep(0.02)  # slower trainer than generator
-            return controller.advance(50.0 - epoch_index)
+        def checked_generate(epoch_index, stage_set):
+            assert all(data.discarded for data in made)
+            made.append(generate(epoch_index, stage_set))
+            return made[-1]
 
-        result = pipeline_run(controller, generate, slow_consume, overlap=True)
-        assert result.max_live_epochs <= 2
+        # never improves after epoch 0 -> a stage switch at every patience
+        result = pipeline_run(controller, checked_generate,
+                              scripted_metrics(controller, [10.0] * 8),
+                              first=first)
+        assert result.epochs_completed == 8
+        assert any(r.decision is Decision.SWITCH_STAGE for r in controller.records)
+        assert len(made) == 8 and all(data.discarded for data in made)
 
     def test_single_epoch_degenerates(self, small_setup):
         controller, generate = self.make_parts(small_setup, max_epochs=1)
@@ -243,17 +232,15 @@ class TestPipelineRun:
             # never improves after epoch 1 -> switch every patience
             return controller.advance(10.0)
 
-        pipeline_run(controller, generate, consume, overlap=True)
+        pipeline_run(controller, generate, consume)
         # stage 0 draws only 0 dB; later stages admit higher values
         assert seen_stages[0] == [0.0]
         assert any(max(stage) > 0.0 for stage in seen_stages[2:])
 
     def test_generation_failure_aborts_after_drain(self, small_setup):
         controller, generate = self.make_parts(small_setup, max_epochs=10)
-        calls = {"n": 0}
 
         def flaky_generate(epoch_index, stage_set):
-            calls["n"] += 1
             if epoch_index == 1:
                 raise DataError("boom")
             return generate(epoch_index, stage_set)
@@ -264,12 +251,11 @@ class TestPipelineRun:
             consumed.append(epoch_index)
             return controller.advance(10.0)
 
-        with pytest.raises(ComputeError, match="generation failed"):
-            pipeline_run(controller, flaky_generate, consume, overlap=True)
+        with pytest.raises(DataError, match="boom"):
+            pipeline_run(controller, flaky_generate, consume)
         assert consumed == [0]  # epoch 0 finished training before the abort
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_no_prefetch_past_the_last_epoch(self, small_setup, overlap):
+    def test_no_prefetch_past_the_last_epoch(self, small_setup):
         controller, generate = self.make_parts(small_setup, kind="multicondition",
                                                patience=10, max_epochs=4)
         counting_generate, generated = counting(generate)
@@ -280,8 +266,7 @@ class TestPipelineRun:
             consumed.append(epoch_index)
             return controller.advance(10.0)
 
-        result = pipeline_run(controller, counting_generate, consume,
-                              overlap=overlap)
+        result = pipeline_run(controller, counting_generate, consume)
         assert result.status == "terminated"
         assert generated == [0, 1, 2, 3]
         assert consumed == [0, 1, 2, 3]
@@ -310,6 +295,6 @@ class TestPipelineRun:
             return controller.advance(10.0)
 
         result = pipeline_run(controller, counting_generate, consume, first=first)
+        assert result.epochs_completed == 3
         assert seen[0] is first and first.discarded
         assert generated == [1, 2]
-        assert result.max_live_epochs == 2

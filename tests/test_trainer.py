@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -108,12 +109,7 @@ def test_fingerprint_is_pinned_and_covers_every_field(tiny_setup):
     corpus_id = corpus_fingerprint(tiny_setup[0])
     config = tiny_config()
     assert config.fingerprint(schedule, corpus_id) == TINY_FINGERPRINT
-    # overlap == sequential, so the prefetch switch may change on resume
-    assert replace(config, overlap_generation=False).fingerprint(
-        schedule, corpus_id) == TINY_FINGERPRINT
     for f in fields(TrainConfig):
-        if f.name == "overlap_generation":
-            continue
         changed = replace(config, **{f.name: getattr(config, f.name) + 1})
         assert changed.fingerprint(schedule, corpus_id) != TINY_FINGERPRINT, f.name
 
@@ -134,20 +130,6 @@ def test_dev_wers_are_exact_and_logs_round_them(tiny_setup, tmp_path):
         assert train_line.split("\t")[3] == f"{wer:.4f}"
         assert stage_line.split("\t")[2] == f"{wer:.4f}"
     assert any(float(f"{wer:.4f}") != wer for wer in result.dev_wers)
-
-
-def test_overlapped_equals_sequential_training(tiny_setup):
-    train_corpus, dev_corpus, pool = tiny_setup
-    schedule = Schedule("accan", patience=1, max_epochs=8)
-    overlapped = train(train_corpus, dev_corpus, schedule, pool,
-                       tiny_config(overlap_generation=True))
-    sequential = train(train_corpus, dev_corpus, schedule, pool,
-                       tiny_config(overlap_generation=False))
-    assert overlapped.log_lines == sequential.log_lines
-    assert overlapped.model.param_hash() == sequential.model.param_hash()
-    assert [m.records for m in overlapped.manifests] == \
-        [m.records for m in sequential.manifests]
-    assert overlapped.max_live_epochs <= 2
 
 
 def test_stage_switch_restores_stage_best_weights(tiny_setup):
@@ -240,6 +222,37 @@ def test_crashed_run_resumes_from_its_last_epoch(tiny_setup, tmp_path,
                     out_dir=crashed_dir)
     assert resumed.epochs_run == 6  # epochs 1-4 were saved before the crash
     assert resumed.log_lines == full.log_lines
+    assert file_digests(crashed_dir) == file_digests(full_dir)
+    assert not list(crashed_dir.rglob("*.tmp"))
+
+
+def test_crash_between_state_renames_resumes(tiny_setup, tmp_path, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("multicondition", patience=2, max_epochs=5)
+    full_dir = tmp_path / "full"
+    train(train_corpus, dev_corpus, schedule, pool, tiny_config(), out_dir=full_dir)
+
+    crashed_dir = tmp_path / "crashed"
+    renames = []
+    replace_file = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "state.json":
+            renames.append(dst)
+            if len(renames) == 3:
+                raise OSError("injected failure")
+        replace_file(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected failure"):
+            train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                  out_dir=crashed_dir)
+    # epoch 2's state.npz is in place, beside epoch 1's state.json
+    assert (crashed_dir / "state.json.tmp").exists()
+    resumed = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                    out_dir=crashed_dir)
+    assert resumed.epochs_run == 2
     assert file_digests(crashed_dir) == file_digests(full_dir)
     assert not list(crashed_dir.rglob("*.tmp"))
 
