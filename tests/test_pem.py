@@ -255,9 +255,11 @@ class TestPipelineRun:
             pipeline_run(controller, flaky_generate, consume)
         assert consumed == [0]  # epoch 0 finished training before the abort
 
-    def test_no_prefetch_past_the_last_epoch(self, small_setup):
+    @pytest.mark.parametrize("first_given", [False, True])
+    def test_no_prefetch_past_the_last_epoch(self, small_setup, first_given):
         controller, generate = self.make_parts(small_setup, kind="multicondition",
                                                patience=10, max_epochs=4)
+        first = generate(0, controller.stage_set) if first_given else None
         counting_generate, generated = counting(generate)
 
         consumed = []
@@ -266,9 +268,9 @@ class TestPipelineRun:
             consumed.append(epoch_index)
             return controller.advance(10.0)
 
-        result = pipeline_run(controller, counting_generate, consume)
+        result = pipeline_run(controller, counting_generate, consume, first=first)
         assert result.status == "terminated"
-        assert generated == [0, 1, 2, 3]
+        assert generated == ([1, 2, 3] if first_given else [0, 1, 2, 3])
         assert consumed == [0, 1, 2, 3]
 
     def test_no_prefetch_past_stop_after(self, small_setup):
