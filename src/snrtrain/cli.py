@@ -19,7 +19,7 @@ from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
                     mixing_gain, read_wav, sample_segment_offset, segment_at,
                     write_wav)
 from .curriculum import Schedule, parse_schedule_file, schedule_from_fields
-from .errors import ComputeError, DataError, check_keys, field_value
+from .errors import ComputeError, DataError, check_keys, field_value, write_atomic
 from .noise import NoiseSpec, generate_pink, pink_pool_waveform
 from .seeding import derive_seed, derived_rng
 from .task import SyntheticTask, Utterance, make_corpus
@@ -117,18 +117,11 @@ def _load_wav_dir(path):
     if not os.path.exists(transcripts_path):
         raise DataError(f"missing transcripts file: {transcripts_path}")
     utterances = []
-    with open(transcripts_path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            utt_id, words = parts[0], tuple(parts[1:])
-            wav_path = os.path.join(path, f"{utt_id}.wav")
-            if not os.path.exists(wav_path):
-                raise DataError(f"missing audio file: {wav_path}")
-            utterances.append(Utterance(utt_id, read_wav(wav_path), words))
-    if not utterances:
-        raise DataError(f"{transcripts_path}: no utterances listed")
+    for utt_id, words in wer.read_transcripts(transcripts_path).items():
+        wav_path = os.path.join(path, f"{utt_id}.wav")
+        if not os.path.exists(wav_path):
+            raise DataError(f"missing audio file: {wav_path}")
+        utterances.append(Utterance(utt_id, read_wav(wav_path), words))
     return tuple(utterances)
 
 
@@ -229,8 +222,7 @@ def cmd_score(args) -> int:
         baseline_name = args.baseline
     report = wer.format_report(points, aggregates, baseline_values, baseline_name)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        write_atomic((args.out, report.encode("utf-8")))
     print(report, end="")
     return 0
 

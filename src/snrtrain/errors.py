@@ -1,9 +1,12 @@
-"""Exception types shared across the toolkit, and the checks that turn the
-fields of an input file into typed values or a DataError.
+"""Exception types shared across the toolkit, the checks that turn the
+fields of an input file into typed values or a DataError, and the one
+writer of every file the toolkit makes except WAV.
 
 The CLI maps DataError to exit code 2 (bad input / usage) and ComputeError
 to exit code 1 (numerical failure mid-run).
 """
+
+import os
 
 _REQUIRED = object()
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -15,6 +18,17 @@ class DataError(ValueError):
 
 class ComputeError(RuntimeError):
     """A computation failed (non-finite loss, regeneration mismatch, ...)."""
+
+
+def write_atomic(*files) -> None:
+    """Write each (path, bytes) to path + ".tmp", then os.replace each tmp
+    file onto its path in the order given. A process that dies at any point
+    leaves every path either whole and old or whole and new."""
+    for path, data in files:
+        with open(f"{path}.tmp", "wb") as fh:
+            fh.write(data)
+    for path, _ in files:
+        os.replace(f"{path}.tmp", path)
 
 
 def check_keys(fields: dict, allowed, where: str) -> None:

@@ -16,6 +16,7 @@ from .noise import pink_pool_waveform
 from .seeding import derive_seed
 from .task import SyntheticTask, make_corpus
 from .trainer import TrainConfig, evaluate_condition_wer, train
+from .wer import format_condition
 
 METHODS = ("accan", "multicondition", "clean_only")
 
@@ -42,6 +43,12 @@ class ComparisonSpec:
     pool_seed: int = 77
 
 
+def _condition_label(condition) -> str:
+    """A test condition as '0dB', '-5dB' or 'clean'."""
+    label = format_condition(condition)
+    return label if condition == CLEAN else f"{label}dB"
+
+
 @dataclass
 class MethodOutcome:
     method: str
@@ -66,7 +73,7 @@ class ComparisonResult:
 
     def summary_lines(self) -> list:
         lines = ["method            " + "".join(
-            f"{f'{c:g}dB':>10s}" for c in self.spec.test_snrs) + f"{'mean':>10s}"]
+            f"{_condition_label(c):>10s}" for c in self.spec.test_snrs) + f"{'mean':>10s}"]
         for method in METHODS:
             outcome = self.outcomes[method]
             row = f"{method:<18s}"
@@ -120,7 +127,8 @@ def run_comparison(spec: ComparisonSpec = ComparisonSpec(),
             outcomes[method].wer_by_seed[seed] = wers
             outcomes[method].epochs_by_seed[seed] = result.epochs_run
             if progress is not None:
-                summary = ", ".join(f"{c:g}dB={w:.1f}" for c, w in wers.items())
+                summary = ", ".join(f"{_condition_label(c)}={w:.1f}"
+                                    for c, w in wers.items())
                 progress(f"seed {seed} {method}: {result.epochs_run} epochs, {summary}")
 
     return ComparisonResult(spec, outcomes)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import Waveform
-from .errors import DataError
+from .errors import DataError, write_atomic
 
 FRAME_LENGTH_MS = 25.0
 FRAME_SHIFT_MS = 10.0
@@ -231,9 +231,7 @@ def write_feature_file(path, values: np.ndarray) -> None:
         + np.uint32(values.shape[0]).tobytes()
         + np.uint32(values.shape[1]).tobytes()
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    write_atomic((path, header + np.ascontiguousarray(values, dtype="<f4").tobytes()))
 
 
 def read_feature_file(path) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, write_atomic
 
 PARAM_ORDER = ("w_in", "w_rec", "b_rec", "w_out", "b_out")
 
@@ -172,10 +172,9 @@ class RecurrentCtcModel:
             + np.uint32(epoch).tobytes()
             + np.uint64(self.num_params()).tobytes()
         )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for k in PARAM_ORDER:
-                fh.write(np.ascontiguousarray(self.params[k], dtype="<f4").tobytes())
+        write_atomic((path, header + b"".join(
+            np.ascontiguousarray(self.params[k], dtype="<f4").tobytes()
+            for k in PARAM_ORDER)))
 
 
 def load_checkpoint(path, dropout: float = 0.3):

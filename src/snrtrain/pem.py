@@ -8,9 +8,10 @@ blake2b(master_seed, epoch_index, utterance_id), so any item regenerates
 independently of scheduling, and a manifest records every choice. Epochs
 are generated and trained in turn, and each epoch's data is discarded after
 training to a footprint of just the manifest, so no epoch is generated that
-is not trained on. A fresh run renders epoch 0 once:
-fit_epoch_stats fits the normalization stats on its raw renders, and
-epoch_from_renders builds epoch 0 from those same renders.
+is not trained on, and a run whose controller already terminated generates
+none. A fresh run renders epoch 0 once: fit_epoch_stats fits the
+normalization stats on its raw renders, and epoch_from_renders builds
+epoch 0 from those same renders.
 
 draw_choice and render are the one mix -> featurize path: epoch items,
 normalization stats, the trainer's dev set and test-condition evaluation
@@ -28,7 +29,7 @@ import numpy as np
 from . import audio, curriculum, features
 from .audio import NoisePool, mix_at_snr, segment_at
 from .curriculum import Decision, StageController
-from .errors import ComputeError, DataError
+from .errors import ComputeError, DataError, write_atomic
 from .seeding import derive_seed
 from .wer import condition_key, format_condition
 
@@ -129,8 +130,7 @@ class EpochManifest:
         return EpochManifest(int(meta["epoch"]), meta["config"], tuple(records))
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        write_atomic((path, self.to_text().encode("utf-8")))
 
     @staticmethod
     def read(path) -> "EpochManifest":
@@ -268,23 +268,22 @@ def pipeline_run(controller: StageController, generate, consume, *,
     """Generate and train epochs in turn, from controller.epoch_counter on.
 
     generate(epoch_index, stage_set) must be pure; consume(epoch_index,
-    EpochData) trains on the epoch, advances the controller and returns its
-    Decision. first, when given, is the start epoch's data. Each epoch is
-    generated under the stage set in force once the previous one is
-    consumed, and discarded before the next is generated, so one epoch's
-    features at most are live. The run ends on TERMINATE or after
-    stop_after_epochs epochs.
+    EpochData) trains on the epoch and advances the controller. first, when
+    given, is the start epoch's data. Each epoch is generated under the
+    stage set in force once the previous one is consumed, and discarded
+    before the next is generated, so one epoch's features at most are live.
+    The run ends once the controller's last record is TERMINATE, before any
+    epoch when it already is, or after stop_after_epochs epochs.
     """
-    epoch = controller.epoch_counter
-    data = first if first is not None else generate(epoch, controller.stage_set)
     epochs_this_run = 0
-    while True:
-        decision = consume(epoch, data)
-        data.discard()
-        epochs_this_run += 1
-        if decision is Decision.TERMINATE:
-            return PipelineResult("terminated", epochs_this_run)
+    while not (controller.records
+               and controller.records[-1].decision is Decision.TERMINATE):
         if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs:
             return PipelineResult("stopped", epochs_this_run)
-        epoch += 1
-        data = generate(epoch, controller.stage_set)
+        epoch = controller.epoch_counter
+        data = first if first is not None else generate(epoch, controller.stage_set)
+        first = None
+        consume(epoch, data)
+        data.discard()
+        epochs_this_run += 1
+    return PipelineResult("terminated", epochs_this_run)

@@ -23,7 +23,7 @@ from . import pem
 from .audio import NoisePool
 from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Decision, Schedule, StageController
-from .errors import ComputeError, DataError
+from .errors import ComputeError, DataError, write_atomic
 from .features import NormStats, normalize, write_norm_stats
 from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng
@@ -154,8 +154,10 @@ def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
 
 def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
           config: TrainConfig, out_dir=None, stop_after: int | None = None) -> TrainResult:
-    """Run (or resume) a full curriculum training experiment; with out_dir,
-    the state is saved after every epoch and a rerun resumes from there."""
+    """Run (or resume) a full curriculum training experiment. With out_dir,
+    the state is saved after every epoch and a rerun resumes from there (a
+    terminated run trains 0 epochs); every call then rewrites stats.feat,
+    both logs and final.ckpt from the state, as an uninterrupted run has them."""
     if stop_after is not None and stop_after < 1:
         raise DataError(f"stop_after must be >= 1, got {stop_after}")
     if not train_corpus or not dev_corpus:
@@ -203,8 +205,6 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         renders: dict = {}
         state.stats = pem.fit_epoch_stats(cfg0, train_corpus, pool, renders)
         first = pem.epoch_from_renders(cfg0, train_corpus, renders, state.stats)
-        if out_dir is not None:
-            write_norm_stats(os.path.join(out_dir, "stats.feat"), state.stats)
 
     def generate(epoch_index, stage_set):
         return pem.generate_epoch(epoch_config(epoch_index, stage_set),
@@ -261,26 +261,21 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
             data.manifest.write(os.path.join(
                 out_dir, "manifests", f"epoch_{epoch_index:04d}.manifest"))
             _save_state(out_dir, fingerprint, state)
-        return decision
+
+    result = pem.pipeline_run(controller, generate, consume,
+                              stop_after_epochs=stop_after, first=first)
 
     records = controller.records
-    already_done = bool(records) and records[-1].decision is Decision.TERMINATE
-    if already_done:
-        # the saved run already terminated; report it without training more
-        result = pem.PipelineResult("terminated", 0)
-    else:
-        result = pem.pipeline_run(controller, generate, consume,
-                                  stop_after_epochs=stop_after, first=first)
-
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"
                  for r, loss in zip(records, state.train_losses)]
 
-    if out_dir is not None and not already_done:
-        with open(os.path.join(out_dir, "train_log.tsv"), "w") as fh:
-            fh.write("\n".join(log_lines) + "\n")
-        with open(os.path.join(out_dir, "stage_log.tsv"), "w") as fh:
-            fh.writelines(f"{r.epoch}\t{r.stage}\t{r.dev_wer:.4f}\t{r.decision.value}\n"
-                          for r in records)
+    if out_dir is not None:
+        write_norm_stats(os.path.join(out_dir, "stats.feat"), state.stats)
+        write_atomic(
+            (os.path.join(out_dir, "train_log.tsv"), ("\n".join(log_lines) + "\n").encode()),
+            (os.path.join(out_dir, "stage_log.tsv"), "".join(
+                f"{r.epoch}\t{r.stage}\t{r.dev_wer:.4f}\t{r.decision.value}\n"
+                for r in records).encode()))
         model.save_checkpoint(os.path.join(out_dir, "final.ckpt"),
                               controller.epoch_counter)
 
@@ -301,11 +296,10 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
 
 
 def _save_state(out_dir, fingerprint, state: RunState) -> None:
-    """Write state.npz and state.json, which records the digest of the npz
-    bytes, to temporary files, then os.replace each into place, npz first.
-    Neither is ever seen half written, and after a crash between the two
-    renames state.json.tmp holds the new state.npz's digest, from which
-    _load_state completes the save."""
+    """Save state.npz and state.json, which records the digest of the npz
+    bytes, in one write_atomic call, so state.npz is renamed into place
+    before state.json. After a crash between the two renames, state.json.tmp
+    holds the new state.npz's digest, from which _load_state completes the save."""
     controller = state.controller
     arrays = {}
     for k, v in state.model.params.items():
@@ -332,14 +326,8 @@ def _save_state(out_dir, fingerprint, state: RunState) -> None:
         "switch_records": [[r.epoch, r.best_hash, r.restored_hash]
                            for r in state.switch_records],
     }
-    paths = []
-    for name, data in ((STATE_ARRAYS, payload),
-                       (STATE_META, json.dumps(meta, indent=2).encode())):
-        paths.append(os.path.join(out_dir, name))
-        with open(paths[-1] + ".tmp", "wb") as fh:
-            fh.write(data)
-    for path in paths:
-        os.replace(path + ".tmp", path)
+    write_atomic((os.path.join(out_dir, STATE_ARRAYS), payload),
+                 (os.path.join(out_dir, STATE_META), json.dumps(meta, indent=2).encode()))
 
 
 def _read_meta(path) -> dict:

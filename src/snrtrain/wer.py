@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .audio import CLEAN
-from .errors import DataError
+from .errors import DataError, write_atomic
 
 CONDITIONS: tuple = (CLEAN,) + tuple(float(v) for v in range(50, -25, -5))
 HIGH_RANGE: tuple = tuple(float(v) for v in range(50, -5, -5))
@@ -125,9 +125,8 @@ def read_transcripts(path) -> dict:
 
 
 def write_transcripts(path, transcripts: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, words in transcripts.items():
-            fh.write(f"{utt_id} {' '.join(words)}\n")
+    write_atomic((path, "".join(f"{utt_id} {' '.join(words)}\n"
+                                for utt_id, words in transcripts.items()).encode("utf-8")))
 
 
 def condition_of_id(utt_id: str):

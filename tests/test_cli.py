@@ -9,6 +9,7 @@ import pytest
 import reference_wer_tables as tables
 from snrtrain.audio import Waveform, read_wav, write_wav
 from snrtrain.features import FEATURE_DIM, read_feature_file
+from snrtrain.task import SyntheticTask, make_corpus
 from snrtrain.wer import parse_report_values
 
 
@@ -412,6 +413,33 @@ class TestTrainCommand:
         if damage in ("flipped_byte", "no_digest"):
             assert "state.npz" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_wav_dir_corpus(self, tmp_path, duplicate):
+        task = SyntheticTask()
+        for name, seed in (("train", 31), ("dev", 32)):
+            corpus_dir = tmp_path / name
+            corpus_dir.mkdir()
+            corpus = make_corpus(task, 4, seed=seed, id_prefix=name)
+            for u in corpus:
+                write_wav(corpus_dir / f"{u.utt_id}.wav", u.waveform)
+            lines = [f"{u.utt_id} {' '.join(u.words)}\n" for u in corpus]
+            if duplicate and name == "train":
+                lines.append(lines[0])
+            (corpus_dir / "transcripts.tsv").write_text("".join(lines))
+        config_path = write_train_config(tmp_path, kind="multicondition",
+                                         patience=1, max_epochs=3)
+        config = json.loads(config_path.read_text())
+        config["corpus"] = {"kind": "wav-dir", "train": "train", "dev": "dev"}
+        config_path.write_text(json.dumps(config))
+        proc = run_cli("train", "--config", str(config_path), "--stop-after", "1")
+        if duplicate:
+            assert proc.returncode == 2
+            assert "transcripts.tsv:5: duplicate utterance id 'train0000'" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert "status=stopped epochs=1" in proc.stdout
 
     def test_schedule_file_reference(self, tmp_path):
         config_path = write_train_config(tmp_path, kind="multicondition",

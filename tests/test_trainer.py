@@ -1,5 +1,7 @@
+import builtins
 import json
 import os
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -255,6 +257,83 @@ def test_crash_between_state_renames_resumes(tiny_setup, tmp_path, monkeypatch):
     assert resumed.epochs_run == 2
     assert file_digests(crashed_dir) == file_digests(full_dir)
     assert not list(crashed_dir.rglob("*.tmp"))
+
+
+class InjectedCrash(Exception):
+    pass
+
+
+def crash_at_write(patch, run_dir, n) -> list:
+    """Make the n-th write-mode open or os.replace of a path under run_dir
+    raise InjectedCrash; returns the list of those paths seen so far."""
+    calls = []
+    prefix = os.path.join(str(run_dir), "")
+    open_file, replace_file = builtins.open, os.replace
+
+    def count(path):
+        if isinstance(path, (str, os.PathLike)) and os.fspath(path).startswith(prefix):
+            calls.append(os.fspath(path))
+            if len(calls) == n:
+                raise InjectedCrash(path)
+
+    def crashing_open(file, mode="r", *args, **kwargs):
+        if any(flag in mode for flag in "wax+"):
+            count(file)
+        return open_file(file, mode, *args, **kwargs)
+
+    def crashing_replace(src, dst, **kwargs):
+        count(dst)
+        replace_file(src, dst, **kwargs)
+
+    patch.setattr(builtins, "open", crashing_open)
+    patch.setattr(os, "replace", crashing_replace)
+    return calls
+
+
+@pytest.mark.parametrize("stopped_first", [False, True])
+def test_crash_at_every_write_resumes_into_the_uninterrupted_files(
+        tiny_setup, tmp_path, monkeypatch, stopped_first):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("accan", patience=1, max_epochs=5)
+
+    def run(out_dir, **kwargs):
+        return train(train_corpus, dev_corpus, schedule, pool,
+                     tiny_config(master_seed=5), out_dir=out_dir, **kwargs)
+
+    full_dir = tmp_path / "full"
+    full = run(full_dir)
+    assert [r.epoch for r in full.switch_records] == [2, 5]
+    start_dir = tmp_path / "start"
+    if stopped_first:
+        assert run(start_dir, stop_after=2).status == "stopped"
+
+    crash_point = 0
+    while True:
+        crash_point += 1
+        run_dir = tmp_path / f"crash{crash_point}"
+        if stopped_first:
+            shutil.copytree(start_dir, run_dir)
+        with monkeypatch.context() as patch:
+            calls = crash_at_write(patch, run_dir, crash_point)
+            try:
+                run(run_dir)
+            except InjectedCrash:
+                pass
+            else:
+                break
+        resumed = run(run_dir)
+        assert file_digests(run_dir) == file_digests(full_dir), calls[-1]
+        assert resumed.log_lines == full.log_lines
+        assert resumed.best_hash == full.best_hash
+        assert not list(run_dir.rglob("*.tmp")), calls[-1]
+        shutil.rmtree(run_dir)
+
+    # the untouched last call reached every kind of write
+    assert len(calls) == crash_point - 1
+    written = {os.path.basename(path).removesuffix(".tmp") for path in calls}
+    assert written >= {"stats.feat", "train_log.tsv", "stage_log.tsv",
+                       "final.ckpt", "state.npz", "state.json",
+                       "epoch_0004.manifest"}
 
 
 def test_resume_rejects_changed_config(tiny_setup, tmp_path):
