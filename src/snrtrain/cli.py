@@ -52,6 +52,8 @@ def cmd_mix(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    if not (np.isfinite(args.sigma) and args.sigma >= 0):
+        raise DataError(f"--sigma must be finite and >= 0, got {args.sigma}")
     waveform = read_wav(args.in_path)
     feats = features.featurize_waveform(waveform)
     if args.per_utt_stats:
@@ -276,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat = sub.add_parser("featurize",
                             help="extract 123-dim filterbank features to a FEAT file")
     p_feat.add_argument("--in", dest="in_path", required=True, metavar="WAV")
-    p_feat.add_argument("--stats", default=None,
+    p_norm = p_feat.add_mutually_exclusive_group()
+    p_norm.add_argument("--stats", default=None,
                         help="stats FEAT file (mean/std rows) to normalize with")
-    p_feat.add_argument("--per-utt-stats", action="store_true",
+    p_norm.add_argument("--per-utt-stats", action="store_true",
                         help="normalize by this utterance's own statistics")
     p_feat.add_argument("--sigma", type=float, default=0.0,
                         help="feature-level Gaussian injection std")

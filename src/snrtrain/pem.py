@@ -9,19 +9,19 @@ independently of scheduling, and a manifest records every choice. Epochs
 are generated and trained in turn, and each epoch's data is discarded after
 training to a footprint of just the manifest, so no epoch is generated that
 is not trained on, and a run whose controller already terminated generates
-none. A fresh run renders epoch 0 once: fit_epoch_stats fits the
-normalization stats on its raw renders, and epoch_from_renders builds
-epoch 0 from those same renders.
+none. generate_epoch makes every epoch; given no stats (a fresh run's
+epoch 0), it fits them on the epoch's own raw features, so that epoch too
+is rendered once.
 
 draw_choice and render are the one mix -> featurize path: epoch items,
-normalization stats, the trainer's dev set and test-condition evaluation
-all go through them.
+the trainer's dev set and test-condition evaluation all go through them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +139,14 @@ class EpochManifest:
 
 
 class EpochData:
-    """Training data for one epoch, held in memory; discardable, manifest kept."""
+    """Training data for one epoch, held in memory; discardable, manifest kept.
+    stats are the normalization stats the features were normalized with."""
 
-    def __init__(self, manifest: EpochManifest, feature_map: dict):
+    def __init__(self, manifest: EpochManifest, feature_map: dict,
+                 stats: features.NormStats):
         self.manifest = manifest
         self._features = feature_map
+        self.stats = stats
         self.discarded = False
 
     def features_for(self, utt_id: str) -> np.ndarray:
@@ -175,11 +178,16 @@ def render(utterance, pool: NoisePool, offset: int, snr) -> np.ndarray:
 
 
 def _raw_item(cfg: EpochConfig, utterance, pool: NoisePool) -> tuple:
-    """(offset, snr, raw features) of one item under the epoch's seeded draw."""
+    """(offset, snr, raw features) of one item under the epoch's seeded draw;
+    a DataError names the utterance."""
     rng = np.random.default_rng(item_seed(cfg.master_seed, cfg.epoch_index,
                                           utterance.utt_id))
-    offset, snr = draw_choice(rng, pool, len(utterance.waveform), cfg.stage_snr_set)
-    return offset, snr, render(utterance, pool, offset, snr)
+    try:
+        offset, snr = draw_choice(rng, pool, len(utterance.waveform),
+                                  cfg.stage_snr_set)
+        return offset, snr, render(utterance, pool, offset, snr)
+    except DataError as err:
+        raise DataError(f"utterance {utterance.utt_id!r}: {err}") from err
 
 
 def _epoch_item(cfg: EpochConfig, utterance, stats, offset, snr, raw):
@@ -194,34 +202,29 @@ def _epoch_item(cfg: EpochConfig, utterance, stats, offset, snr, raw):
     return rendered, record
 
 
-def _build_epoch(cfg: EpochConfig, corpus, stats, raw_item) -> EpochData:
-    """Normalize, inject and checksum raw_item(utterance) for every item."""
+def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool,
+                   stats: features.NormStats | None = None) -> EpochData:
+    """Mix, featurize, normalize and (optionally) inject one whole epoch.
+
+    Without stats (a fresh run's epoch 0), every item is rendered first and
+    the normalization stats are fit on those raw features in corpus order;
+    each raw matrix is released once it is normalized. The stats used are
+    returned on the EpochData. Fully deterministic in (master_seed,
+    epoch_index, utterance id); a render error names the utterance.
+    """
+    raw_items = deque()
+    if stats is None:
+        raw_items.extend(_raw_item(cfg, u, pool) for u in corpus)
+        stats = features.fit_norm_stats([raw for _, _, raw in raw_items])
     feature_map = {}
     records = []
     for utterance in corpus:
-        try:
-            feats, record = _epoch_item(cfg, utterance, stats, *raw_item(utterance))
-        except DataError as err:
-            raise DataError(f"utterance {utterance.utt_id!r}: {err}") from err
+        feats, record = _epoch_item(cfg, utterance, stats, *(
+            raw_items.popleft() if raw_items else _raw_item(cfg, utterance, pool)))
         feature_map[utterance.utt_id] = feats
         records.append(record)
     return EpochData(EpochManifest(cfg.epoch_index, cfg.config_hash(),
-                                   tuple(records)), feature_map)
-
-
-def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool, stats) -> EpochData:
-    """Mix, featurize, normalize and (optionally) inject one whole epoch.
-
-    Fully deterministic in (master_seed, epoch_index, utterance id).
-    """
-    return _build_epoch(cfg, corpus, stats, lambda u: _raw_item(cfg, u, pool))
-
-
-def epoch_from_renders(cfg: EpochConfig, corpus, renders: dict, stats) -> EpochData:
-    """The epoch generate_epoch would give, built from the raw renders that
-    fit_epoch_stats collected for the same cfg. Each render is popped from
-    renders as it is normalized, so its raw matrix is released."""
-    return _build_epoch(cfg, corpus, stats, lambda u: renders.pop(u.utt_id))
+                                   tuple(records)), feature_map, stats)
 
 
 def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance,
@@ -238,24 +241,6 @@ def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance
     return rendered
 
 
-def fit_epoch_stats(cfg: EpochConfig, corpus, pool: NoisePool,
-                    renders: dict | None = None) -> features.NormStats:
-    """Normalization stats over the raw (pre-normalization) features of one
-    epoch's mixes, using exactly the epoch's seeded segment/SNR choices.
-
-    A dict passed as renders receives every item's (offset, snr, raw
-    features) under its utterance id, for epoch_from_renders to build the
-    same epoch without rendering it again.
-    """
-    matrices = []
-    for utterance in corpus:
-        offset, snr, raw = _raw_item(cfg, utterance, pool)
-        matrices.append(raw)
-        if renders is not None:
-            renders[utterance.utt_id] = (offset, snr, raw)
-    return features.fit_norm_stats(matrices)
-
-
 @dataclass
 class PipelineResult:
     status: str  # "terminated" | "stopped"
@@ -263,15 +248,14 @@ class PipelineResult:
 
 
 def pipeline_run(controller: StageController, generate, consume, *,
-                 stop_after_epochs: int | None = None,
-                 first: EpochData | None = None) -> PipelineResult:
+                 stop_after_epochs: int | None = None) -> PipelineResult:
     """Generate and train epochs in turn, from controller.epoch_counter on.
 
-    generate(epoch_index, stage_set) must be pure; consume(epoch_index,
-    EpochData) trains on the epoch and advances the controller. first, when
-    given, is the start epoch's data. Each epoch is generated under the
-    stage set in force once the previous one is consumed, and discarded
-    before the next is generated, so one epoch's features at most are live.
+    generate(epoch_index, stage_set) returns the epoch's EpochData;
+    consume(epoch_index, EpochData) trains on it and advances the
+    controller. Each epoch is generated under the stage set in force once
+    the previous one is consumed, and discarded before the next is
+    generated, so one epoch's features at most are live.
     The run ends once the controller's last record is TERMINATE, before any
     epoch when it already is, or after stop_after_epochs epochs.
     """
@@ -281,8 +265,7 @@ def pipeline_run(controller: StageController, generate, consume, *,
         if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs:
             return PipelineResult("stopped", epochs_this_run)
         epoch = controller.epoch_counter
-        data = first if first is not None else generate(epoch, controller.stage_set)
-        first = None
+        data = generate(epoch, controller.stage_set)
         consume(epoch, data)
         data.discard()
         epochs_this_run += 1

@@ -198,22 +198,18 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         if os.path.exists(os.path.join(out_dir, STATE_META)):
             _load_state(out_dir, fingerprint, state)
 
-    first = None
-    if state.stats is None:
-        # a fresh run: epoch 0 is built from the renders the stats are fit on
-        cfg0 = epoch_config(0, controller.stage_set)
-        renders: dict = {}
-        state.stats = pem.fit_epoch_stats(cfg0, train_corpus, pool, renders)
-        first = pem.epoch_from_renders(cfg0, train_corpus, renders, state.stats)
-
     def generate(epoch_index, stage_set):
-        return pem.generate_epoch(epoch_config(epoch_index, stage_set),
+        # a fresh run has no stats yet: its epoch 0 fits them
+        data = pem.generate_epoch(epoch_config(epoch_index, stage_set),
                                   train_corpus, pool, state.stats)
+        state.stats = data.stats
+        return data
 
-    dev_cache: dict = {}
+    dev = (None, [])  # (stage index, its dev pairs); stages only move forward
     manifests: list = []
 
     def consume(epoch_index, data):
+        nonlocal dev
         order = derived_rng(config.master_seed, "shuffle", epoch_index).permutation(
             len(train_corpus))
         drop_rng = derived_rng(config.master_seed, "dropout", epoch_index)
@@ -242,12 +238,11 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         state.train_losses.append(total_loss / len(train_corpus))
 
         stage_index = controller.stage_index
-        if stage_index not in dev_cache:
-            dev_cache[stage_index] = _mixed_pairs(
+        if dev[0] != stage_index:
+            dev = (stage_index, _mixed_pairs(
                 dev_corpus, pool, state.stats, controller.stage_set,
-                config.master_seed, "dev", stage_index)
-        hyps = decode_utterances(model, alphabet, dev_cache[stage_index],
-                                 config.batch_size)
+                config.master_seed, "dev", stage_index))
+        hyps = decode_utterances(model, alphabet, dev[1], config.batch_size)
         decision = controller.advance(corpus_wer(dev_refs, hyps),
                                       (model.copy_params(), model.param_hash()))
         if decision is not Decision.CONTINUE:
@@ -263,7 +258,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
             _save_state(out_dir, fingerprint, state)
 
     result = pem.pipeline_run(controller, generate, consume,
-                              stop_after_epochs=stop_after, first=first)
+                              stop_after_epochs=stop_after)
 
     records = controller.records
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"

@@ -31,7 +31,7 @@ from snrtrain.errors import DataError
 from snrtrain.experiments import ComparisonSpec, run_comparison
 from snrtrain.features import FEATURE_DIM, fit_norm_stats, inject_gaussian, normalize
 from snrtrain.noise import NoiseSpec, generate_pink, generate_white, pink_pool_waveform
-from snrtrain.pem import generate_epoch, fit_epoch_stats, EpochConfig
+from snrtrain.pem import generate_epoch, EpochConfig
 from snrtrain.task import SyntheticTask, make_corpus
 from snrtrain.trainer import TrainConfig, train
 from snrtrain.wer import aggregate_ranges, relative_improvement
@@ -264,7 +264,7 @@ def test_pem_determinism_and_freshness():
                            gauss_sigma=0.6, noise_pool_id="pool60",
                            corpus_id="acceptance")
 
-    stats = fit_epoch_stats(config_for(0), corpus, pool)
+    stats = generate_epoch(config_for(0), corpus, pool).stats
     once = generate_epoch(config_for(3), corpus, pool, stats)
     twice = generate_epoch(config_for(3), corpus, pool, stats)
     deterministic = once.manifest == twice.manifest and all(

@@ -121,6 +121,31 @@ class TestFeaturize:
                          "--out", str(tmp_path / "x.feat"))
         assert noseed.returncode == 2
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_sigma_exit_2(self, tmp_path, sigma):
+        wav = tmp_path / "in.wav"
+        write_tone(wav)
+        out = tmp_path / "out.feat"
+        proc = run_cli("featurize", "--in", str(wav), "--sigma", sigma,
+                       "--seed", "11", "--out", str(out))
+        assert proc.returncode == 2
+        assert "--sigma" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_stats_and_per_utt_stats_exclusive(self, tmp_path):
+        from snrtrain.features import NormStats, write_norm_stats
+        wav = tmp_path / "in.wav"
+        write_tone(wav)
+        stats_path = tmp_path / "stats.feat"
+        write_norm_stats(stats_path, NormStats(np.zeros(FEATURE_DIM),
+                                               np.ones(FEATURE_DIM), 1))
+        out = tmp_path / "out.feat"
+        proc = run_cli("featurize", "--in", str(wav), "--stats", str(stats_path),
+                       "--per-utt-stats", "--out", str(out))
+        assert proc.returncode == 2
+        assert "--stats" in proc.stderr and "--per-utt-stats" in proc.stderr
+        assert not out.exists()
+
     def test_per_utt_stats_normalizes(self, tmp_path):
         wav = tmp_path / "in.wav"
         write_tone(wav)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from snrtrain.audio import CLEAN, NoisePool
+from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Decision, Schedule, StageController
 from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
-from snrtrain.pem import (EpochConfig, EpochManifest, epoch_from_renders,
-                          fit_epoch_stats, generate_epoch, pipeline_run,
-                          regenerate_item)
-from snrtrain.task import SyntheticTask, make_corpus
+from snrtrain.pem import (EpochConfig, EpochManifest, generate_epoch,
+                          pipeline_run, regenerate_item)
+from snrtrain.task import SyntheticTask, Utterance, make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +18,7 @@ def small_setup():
                      pool_id="pink60")
     cfg0 = EpochConfig(0, (0.0, 10.0, 20.0), master_seed=99, gauss_sigma=0.6,
                        noise_pool_id=pool.pool_id, corpus_id="toy")
-    stats = fit_epoch_stats(cfg0, corpus, pool)
+    stats = generate_epoch(cfg0, corpus, pool).stats
     return task, corpus, pool, stats
 
 
@@ -146,19 +145,25 @@ class TestManifestFile:
 
 class TestFirstEpoch:
     def test_stats_renders_build_the_generated_epoch(self, small_setup):
-        _, corpus, pool, stats = small_setup
+        _, corpus, pool, _ = small_setup
         cfg0 = config_for(0)
-        renders = {}
-        refit = fit_epoch_stats(cfg0, corpus, pool, renders)
-        np.testing.assert_array_equal(refit.mean, stats.mean)
-        np.testing.assert_array_equal(refit.std, stats.std)
-        built = epoch_from_renders(cfg0, corpus, renders, stats)
-        generated = generate_epoch(cfg0, corpus, pool, stats)
-        assert built.manifest == generated.manifest
+        fitted = generate_epoch(cfg0, corpus, pool)
+        generated = generate_epoch(cfg0, corpus, pool, fitted.stats)
+        assert generated.stats is fitted.stats
+        assert fitted.manifest == generated.manifest
+        assert fitted.utt_ids() == generated.utt_ids()
         for utt_id in generated.utt_ids():
-            np.testing.assert_array_equal(built.features_for(utt_id),
+            np.testing.assert_array_equal(fitted.features_for(utt_id),
                                           generated.features_for(utt_id))
-        assert renders == {}  # every raw matrix was released
+
+    @pytest.mark.parametrize("stats_given", [False, True])
+    def test_render_error_names_the_utterance(self, small_setup, stats_given):
+        task, corpus, pool, stats = small_setup
+        short = Utterance("short7", Waveform(0.1 * np.ones(100), task.sample_rate_hz),
+                          ("a",))
+        with pytest.raises(DataError, match="'short7'.*shorter than one"):
+            generate_epoch(config_for(0), corpus + (short,), pool,
+                           stats if stats_given else None)
 
 
 def scripted_metrics(controller, values):
@@ -199,8 +204,7 @@ class TestPipelineRun:
                                                                   small_setup):
         controller, generate = self.make_parts(small_setup, patience=1,
                                                max_epochs=8)
-        first = generate(0, controller.stage_set)
-        made = [first]
+        made = []
 
         def checked_generate(epoch_index, stage_set):
             assert all(data.discarded for data in made)
@@ -209,8 +213,7 @@ class TestPipelineRun:
 
         # never improves after epoch 0 -> a stage switch at every patience
         result = pipeline_run(controller, checked_generate,
-                              scripted_metrics(controller, [10.0] * 8),
-                              first=first)
+                              scripted_metrics(controller, [10.0] * 8))
         assert result.epochs_completed == 8
         assert any(r.decision is Decision.SWITCH_STAGE for r in controller.records)
         assert len(made) == 8 and all(data.discarded for data in made)
@@ -255,11 +258,9 @@ class TestPipelineRun:
             pipeline_run(controller, flaky_generate, consume)
         assert consumed == [0]  # epoch 0 finished training before the abort
 
-    @pytest.mark.parametrize("first_given", [False, True])
-    def test_no_prefetch_past_the_last_epoch(self, small_setup, first_given):
+    def test_no_prefetch_past_the_last_epoch(self, small_setup):
         controller, generate = self.make_parts(small_setup, kind="multicondition",
                                                patience=10, max_epochs=4)
-        first = generate(0, controller.stage_set) if first_given else None
         counting_generate, generated = counting(generate)
 
         consumed = []
@@ -268,9 +269,9 @@ class TestPipelineRun:
             consumed.append(epoch_index)
             return controller.advance(10.0)
 
-        result = pipeline_run(controller, counting_generate, consume, first=first)
+        result = pipeline_run(controller, counting_generate, consume)
         assert result.status == "terminated"
-        assert generated == ([1, 2, 3] if first_given else [0, 1, 2, 3])
+        assert generated == [0, 1, 2, 3]
         assert consumed == [0, 1, 2, 3]
 
     def test_no_prefetch_past_stop_after(self, small_setup):
@@ -283,20 +284,3 @@ class TestPipelineRun:
                               stop_after_epochs=3)
         assert result.status == "stopped"
         assert generated == [0, 1, 2]
-
-    def test_first_epoch_is_consumed_and_counted_live(self, small_setup):
-        controller, generate = self.make_parts(small_setup, kind="multicondition",
-                                               patience=10, max_epochs=3)
-        first = generate(0, controller.stage_set)
-        counting_generate, generated = counting(generate)
-
-        seen = []
-
-        def consume(epoch_index, data):
-            seen.append(data)
-            return controller.advance(10.0)
-
-        result = pipeline_run(controller, counting_generate, consume, first=first)
-        assert result.epochs_completed == 3
-        assert seen[0] is first and first.discarded
-        assert generated == [1, 2]

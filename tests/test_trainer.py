@@ -2,6 +2,7 @@ import builtins
 import json
 import os
 import shutil
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -390,7 +391,8 @@ def test_evaluate_condition_wer_is_pinned(tiny_setup, tiny_model, condition):
         pool, condition, eval_seed=1) == PINNED_CONDITION_WERS[condition]
 
 
-def test_fresh_run_renders_each_trained_epoch_once(tiny_setup, monkeypatch):
+def test_fresh_run_renders_each_trained_epoch_once(tiny_setup, monkeypatch,
+                                                   tmp_path):
     train_corpus, dev_corpus, pool = tiny_setup
     calls = []
     featurize = features.featurize_waveform
@@ -405,3 +407,40 @@ def test_fresh_run_renders_each_trained_epoch_once(tiny_setup, monkeypatch):
     assert result.epochs_run == 3
     # the stats render is epoch 0, and nothing is prefetched past epoch 2
     assert len(calls) == 3 * len(train_corpus) + len(dev_corpus)
+
+    # a resumed run renders the epochs it trains, and its dev set, and
+    # fits no stats: they come from the saved state
+    out_dir = tmp_path / "run"
+    train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+          out_dir=out_dir, stop_after=1)
+    fits = []
+    monkeypatch.setattr(features, "fit_norm_stats", fits.append)
+    calls.clear()
+    resumed = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                    out_dir=out_dir)
+    assert resumed.epochs_run == 2
+    assert len(calls) == 2 * len(train_corpus) + len(dev_corpus)
+    assert fits == []
+    assert resumed.log_lines == result.log_lines
+
+
+def test_only_the_current_stage_dev_set_is_kept(tiny_setup, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    decode = trainer.decode_utterances
+    stages = []  # weakrefs to the dev matrices of each stage entered
+    alive_at_entry = []  # earlier stages' matrices alive as each is entered
+
+    def watching_decode(model, alphabet, pairs, batch_size=16):
+        if not stages or stages[-1][0]() is not pairs[0][1]:
+            alive_at_entry.append(sum(ref() is not None
+                                      for refs in stages for ref in refs))
+            stages.append([weakref.ref(feats) for _, feats in pairs])
+        return decode(model, alphabet, pairs, batch_size)
+
+    monkeypatch.setattr(trainer, "decode_utterances", watching_decode)
+    schedule = Schedule("accan", patience=1, max_epochs=5)
+    result = train(train_corpus, dev_corpus, schedule, pool,
+                   tiny_config(master_seed=5))
+    assert [r.epoch for r in result.switch_records] == [2, 5]
+    assert [len(refs) for refs in stages] == [len(dev_corpus)] * 2
+    assert alive_at_entry == [0, 0]
