@@ -209,8 +209,8 @@ def normalize_per_utterance(values: np.ndarray) -> np.ndarray:
 def inject_gaussian(values: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise to every entry. sigma=0 is identity."""
     values = _check_dim(values)
-    if sigma < 0:
-        raise DataError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < np.inf:
+        raise DataError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return values.copy()
     return values + rng.normal(0.0, sigma, size=values.shape)

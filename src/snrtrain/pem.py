@@ -4,17 +4,16 @@ Every epoch regenerates the whole training set: each utterance gets a new
 noise segment and a new SNR from the current stage set, is featurized,
 normalized with frozen stats, and optionally perturbed with feature-level
 Gaussian noise. All draws derive from a per-item seed
-blake2b(master_seed, epoch_index, utterance_id), so any item regenerates
-independently of scheduling, and a manifest records every choice. Epochs
-are generated and trained in turn, and each epoch's data is discarded after
-training to a footprint of just the manifest, so no epoch is generated that
-is not trained on, and a run whose controller already terminated generates
-none. generate_epoch makes every epoch; given no stats (a fresh run's
+blake2b(master_seed, "epoch", epoch_index, "utt", utterance_id), so any item
+regenerates independently of scheduling, and a manifest records every
+choice. generate_epoch makes every epoch; given no stats (a fresh run's
 epoch 0), it fits them on the epoch's own raw features, so that epoch too
-is rendered once.
+is rendered once. The trainer frees each epoch's EpochData before it
+generates the next, so one epoch's features at most are live.
 
-draw_choice and render are the one mix -> featurize path: epoch items,
-the trainer's dev set and test-condition evaluation all go through them.
+draw_and_render is the one draw -> mix -> featurize path: epoch items,
+the trainer's dev set and test-condition evaluation all go through it,
+each with its own seed parts.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ import numpy as np
 
 from . import audio, curriculum, features
 from .audio import NoisePool, mix_at_snr, segment_at
-from .curriculum import Decision, StageController
 from .errors import ComputeError, DataError, write_atomic
-from .seeding import derive_seed
+from .seeding import derive_seed, derived_rng
 from .wer import condition_key, format_condition
 
 MANIFEST_HEADER = "# pem-manifest v1"
@@ -48,6 +46,9 @@ class EpochConfig:
     def __post_init__(self):
         if self.epoch_index < 0:
             raise DataError(f"epoch index must be >= 0, got {self.epoch_index}")
+        if not 0.0 <= self.gauss_sigma < float("inf"):
+            raise DataError(f"'gauss_sigma' must be finite and >= 0, "
+                            f"got {self.gauss_sigma}")
         object.__setattr__(self, "stage_snr_set", tuple(self.stage_snr_set))
 
     def config_hash(self) -> str:
@@ -62,10 +63,6 @@ class EpochConfig:
             sort_keys=True,
         )
         return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
-
-
-def item_seed(master_seed: int, epoch_index: int, utt_id: str) -> int:
-    return derive_seed(master_seed, "epoch", epoch_index, "utt", utt_id)
 
 
 def injection_seed(master_seed: int, epoch_index: int, utt_id: str) -> int:
@@ -138,36 +135,14 @@ class EpochManifest:
             return EpochManifest.from_text(fh.read())
 
 
+@dataclass(frozen=True)
 class EpochData:
-    """Training data for one epoch, held in memory; discardable, manifest kept.
-    stats are the normalization stats the features were normalized with."""
+    """Training data for one epoch: the manifest, each utterance id's
+    features, and the normalization stats the features were normalized with."""
 
-    def __init__(self, manifest: EpochManifest, feature_map: dict,
-                 stats: features.NormStats):
-        self.manifest = manifest
-        self._features = feature_map
-        self.stats = stats
-        self.discarded = False
-
-    def features_for(self, utt_id: str) -> np.ndarray:
-        if self.discarded:
-            raise DataError(f"epoch {self.manifest.epoch_index} already discarded")
-        return self._features[utt_id]
-
-    def utt_ids(self):
-        return list(self._features)
-
-    def discard(self) -> None:
-        """Free all feature storage; keeps the manifest. Idempotent."""
-        self._features = {}
-        self.discarded = True
-
-
-def draw_choice(rng: np.random.Generator, pool: NoisePool, length: int,
-                stage_set) -> tuple:
-    """(noise offset, SNR) for one item: the offset is drawn first."""
-    offset = audio.sample_segment_offset(pool, length, rng)
-    return offset, curriculum.sample_snr(stage_set, rng)
+    manifest: EpochManifest
+    features: dict
+    stats: features.NormStats
 
 
 def render(utterance, pool: NoisePool, offset: int, snr) -> np.ndarray:
@@ -177,14 +152,14 @@ def render(utterance, pool: NoisePool, offset: int, snr) -> np.ndarray:
     return features.featurize_waveform(mix_at_snr(utterance.waveform, segment, snr))
 
 
-def _raw_item(cfg: EpochConfig, utterance, pool: NoisePool) -> tuple:
-    """(offset, snr, raw features) of one item under the epoch's seeded draw;
-    a DataError names the utterance."""
-    rng = np.random.default_rng(item_seed(cfg.master_seed, cfg.epoch_index,
-                                          utterance.utt_id))
+def draw_and_render(utterance, pool: NoisePool, stage_set, *seed_parts) -> tuple:
+    """(noise offset, SNR, raw features) of one utterance: the offset, then
+    the SNR from stage_set, are drawn from derived_rng(*seed_parts, utt_id),
+    then rendered. A DataError names the utterance."""
+    rng = derived_rng(*seed_parts, utterance.utt_id)
     try:
-        offset, snr = draw_choice(rng, pool, len(utterance.waveform),
-                                  cfg.stage_snr_set)
+        offset = audio.sample_segment_offset(pool, len(utterance.waveform), rng)
+        snr = curriculum.sample_snr(stage_set, rng)
         return offset, snr, render(utterance, pool, offset, snr)
     except DataError as err:
         raise DataError(f"utterance {utterance.utt_id!r}: {err}") from err
@@ -212,15 +187,19 @@ def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool,
     returned on the EpochData. Fully deterministic in (master_seed,
     epoch_index, utterance id); a render error names the utterance.
     """
+    def draw(utterance):
+        return draw_and_render(utterance, pool, cfg.stage_snr_set,
+                               cfg.master_seed, "epoch", cfg.epoch_index, "utt")
+
     raw_items = deque()
     if stats is None:
-        raw_items.extend(_raw_item(cfg, u, pool) for u in corpus)
+        raw_items.extend(draw(u) for u in corpus)
         stats = features.fit_norm_stats([raw for _, _, raw in raw_items])
     feature_map = {}
     records = []
     for utterance in corpus:
         feats, record = _epoch_item(cfg, utterance, stats, *(
-            raw_items.popleft() if raw_items else _raw_item(cfg, utterance, pool)))
+            raw_items.popleft() if raw_items else draw(utterance)))
         feature_map[utterance.utt_id] = feats
         records.append(record)
     return EpochData(EpochManifest(cfg.epoch_index, cfg.config_hash(),
@@ -239,34 +218,3 @@ def regenerate_item(manifest_record: ManifestRecord, cfg: EpochConfig, utterance
             f"{record.checksum} != {manifest_record.checksum}"
         )
     return rendered
-
-
-@dataclass
-class PipelineResult:
-    status: str  # "terminated" | "stopped"
-    epochs_completed: int
-
-
-def pipeline_run(controller: StageController, generate, consume, *,
-                 stop_after_epochs: int | None = None) -> PipelineResult:
-    """Generate and train epochs in turn, from controller.epoch_counter on.
-
-    generate(epoch_index, stage_set) returns the epoch's EpochData;
-    consume(epoch_index, EpochData) trains on it and advances the
-    controller. Each epoch is generated under the stage set in force once
-    the previous one is consumed, and discarded before the next is
-    generated, so one epoch's features at most are live.
-    The run ends once the controller's last record is TERMINATE, before any
-    epoch when it already is, or after stop_after_epochs epochs.
-    """
-    epochs_this_run = 0
-    while not (controller.records
-               and controller.records[-1].decision is Decision.TERMINATE):
-        if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs:
-            return PipelineResult("stopped", epochs_this_run)
-        epoch = controller.epoch_counter
-        data = generate(epoch, controller.stage_set)
-        consume(epoch, data)
-        data.discard()
-        epochs_this_run += 1
-    return PipelineResult("terminated", epochs_this_run)

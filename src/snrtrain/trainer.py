@@ -1,10 +1,12 @@
 """Training loop: per-epoch data regeneration, CTC/Adam updates, dev-WER
 monitoring, patience-driven stage switching, and resumable state.
 
-Each epoch's data is generated, trained on and discarded before the next
-epoch is generated. Every source of randomness (segment offsets, SNR draws,
-feature injection, batch shuffling, dropout masks, dev-set mixing) is
-derived from the master seed by hashing, so reruns and resumed runs
+train runs one plain loop over epochs: generate the epoch with
+pem.generate_epoch, train its batches, decode the dev set, advance the
+stage controller and save the state. Each epoch's data is freed before the
+next epoch is generated. Every source of randomness (segment offsets, SNR
+draws, feature injection, batch shuffling, dropout masks, dev-set mixing)
+is derived from the master seed by hashing, so reruns and resumed runs
 reproduce training logs bit for bit.
 """
 
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import os
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -101,8 +104,8 @@ class TrainResult:
     best_hash: str
     alphabet: LabelAlphabet
     manifests: list = field(default_factory=list)
-    # epochs are generated and trained in turn, so one is live at a time
-    max_live_epochs: int = 1
+    # the most generated epochs alive at once, counted at each generation
+    max_live_epochs: int = 0
 
 
 def corpus_fingerprint(corpus) -> str:
@@ -132,13 +135,12 @@ def decode_utterances(model: RecurrentCtcModel, alphabet: LabelAlphabet,
 
 def _mixed_pairs(corpus, pool: NoisePool, stats: NormStats, stage_set,
                 *seed_parts) -> list:
-    """(utterance, normalized features) pairs, each mixed at a draw from
-    stage_set with the rng derived from seed_parts and its id (no injection)."""
+    """(utterance, normalized features) pairs, each drawn from stage_set and
+    rendered by pem.draw_and_render under seed_parts (no injection)."""
     pairs = []
     for u in corpus:
-        offset, snr = pem.draw_choice(derived_rng(*seed_parts, u.utt_id), pool,
-                                      len(u.waveform), stage_set)
-        pairs.append((u, normalize(pem.render(u, pool, offset, snr), stats)))
+        _, _, raw = pem.draw_and_render(u, pool, stage_set, *seed_parts)
+        pairs.append((u, normalize(raw, stats)))
     return pairs
 
 
@@ -198,44 +200,29 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         if os.path.exists(os.path.join(out_dir, STATE_META)):
             _load_state(out_dir, fingerprint, state)
 
-    def generate(epoch_index, stage_set):
-        # a fresh run has no stats yet: its epoch 0 fits them
-        data = pem.generate_epoch(epoch_config(epoch_index, stage_set),
-                                  train_corpus, pool, state.stats)
-        state.stats = data.stats
-        return data
-
     dev = (None, [])  # (stage index, its dev pairs); stages only move forward
     manifests: list = []
+    epoch_refs: list = []  # a weakref to each epoch generated
+    max_live = 0
+    epochs_run = 0
 
-    def consume(epoch_index, data):
-        nonlocal dev
-        order = derived_rng(config.master_seed, "shuffle", epoch_index).permutation(
-            len(train_corpus))
-        drop_rng = derived_rng(config.master_seed, "dropout", epoch_index)
-        total_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch_ids = [train_corpus[i].utt_id for i in order[start : start + config.batch_size]]
-            feats = [data.features_for(utt_id).astype(np.float64) for utt_id in batch_ids]
-            outputs, cache = model.forward_batch(feats, train=True, rng=drop_rng)
-            lengths = [len(o) for o in outputs]
-            log_probs = np.zeros((max(lengths), len(outputs), outputs[0].shape[1]))
-            for i, o in enumerate(outputs):
-                log_probs[: lengths[i], i] = o
-            losses, dlogits = ctc_loss_and_grad(
-                log_probs, lengths, [encoded[utt_id] for utt_id in batch_ids])
-            for utt_id, loss in zip(batch_ids, losses.tolist()):
-                if not math.isfinite(loss):
-                    raise ComputeError(
-                        f"non-finite CTC loss at epoch {epoch_index}, "
-                        f"utterance {utt_id!r}")
-                total_loss += loss
-            grads = model.backward_batch(
-                cache, [g / len(batch_ids) for g in dlogits])
-            adam_step(model.params, grads, state.adam,
-                      learning_rate=config.learning_rate, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.adam_eps)
-        state.train_losses.append(total_loss / len(train_corpus))
+    def terminated():
+        return bool(controller.records) and \
+            controller.records[-1].decision is Decision.TERMINATE
+
+    while not terminated() and epochs_run != stop_after:
+        epoch_index = controller.epoch_counter
+        # a fresh run has no stats yet: its epoch 0 fits them
+        data = pem.generate_epoch(epoch_config(epoch_index, controller.stage_set),
+                                  train_corpus, pool, state.stats)
+        epoch_refs.append(weakref.ref(data))
+        max_live = max(max_live, sum(ref() is not None for ref in epoch_refs))
+        state.stats = data.stats
+        state.train_losses.append(_train_epoch(
+            model, state.adam, config, train_corpus, encoded, epoch_index,
+            data.features))
+        manifests.append(data.manifest)
+        del data  # freed before the dev decode and the next epoch
 
         stage_index = controller.stage_index
         if dev[0] != stage_index:
@@ -251,14 +238,11 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
             state.switch_records.append(SwitchRecord(
                 controller.epoch_counter, best_hash, model.param_hash()))
 
-        manifests.append(data.manifest)
         if out_dir is not None:
-            data.manifest.write(os.path.join(
+            manifests[-1].write(os.path.join(
                 out_dir, "manifests", f"epoch_{epoch_index:04d}.manifest"))
             _save_state(out_dir, fingerprint, state)
-
-    result = pem.pipeline_run(controller, generate, consume,
-                              stop_after_epochs=stop_after)
+        epochs_run += 1
 
     records = controller.records
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"
@@ -275,8 +259,8 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
                               controller.epoch_counter)
 
     return TrainResult(
-        status=result.status,
-        epochs_run=result.epochs_completed,
+        status="terminated" if terminated() else "stopped",
+        epochs_run=epochs_run,
         log_lines=log_lines,
         dev_wers=[r.dev_wer for r in records],
         switch_records=state.switch_records,
@@ -287,7 +271,40 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         best_hash=controller.best_checkpoint[1],
         alphabet=alphabet,
         manifests=manifests,
+        max_live_epochs=max_live,
     )
+
+
+def _train_epoch(model, adam: AdamState, config: TrainConfig, train_corpus,
+                 encoded: dict, epoch_index: int, epoch_features: dict) -> float:
+    """One pass of CTC/Adam updates over the epoch's shuffled batches; the
+    mean CTC loss per utterance."""
+    order = derived_rng(config.master_seed, "shuffle", epoch_index).permutation(
+        len(train_corpus))
+    drop_rng = derived_rng(config.master_seed, "dropout", epoch_index)
+    total_loss = 0.0
+    for start in range(0, len(order), config.batch_size):
+        batch_ids = [train_corpus[i].utt_id for i in order[start : start + config.batch_size]]
+        feats = [epoch_features[utt_id].astype(np.float64) for utt_id in batch_ids]
+        outputs, cache = model.forward_batch(feats, train=True, rng=drop_rng)
+        lengths = [len(o) for o in outputs]
+        log_probs = np.zeros((max(lengths), len(outputs), outputs[0].shape[1]))
+        for i, o in enumerate(outputs):
+            log_probs[: lengths[i], i] = o
+        losses, dlogits = ctc_loss_and_grad(
+            log_probs, lengths, [encoded[utt_id] for utt_id in batch_ids])
+        for utt_id, loss in zip(batch_ids, losses.tolist()):
+            if not math.isfinite(loss):
+                raise ComputeError(
+                    f"non-finite CTC loss at epoch {epoch_index}, "
+                    f"utterance {utt_id!r}")
+            total_loss += loss
+        grads = model.backward_batch(
+            cache, [g / len(batch_ids) for g in dlogits])
+        adam_step(model.params, grads, adam,
+                  learning_rate=config.learning_rate, beta1=config.beta1,
+                  beta2=config.beta2, eps=config.adam_eps)
+    return total_loss / len(train_corpus)
 
 
 def _save_state(out_dir, fingerprint, state: RunState) -> None:

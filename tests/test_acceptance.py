@@ -268,8 +268,8 @@ def test_pem_determinism_and_freshness():
     once = generate_epoch(config_for(3), corpus, pool, stats)
     twice = generate_epoch(config_for(3), corpus, pool, stats)
     deterministic = once.manifest == twice.manifest and all(
-        np.array_equal(once.features_for(u), twice.features_for(u))
-        for u in once.utt_ids())
+        np.array_equal(once.features[u], twice.features[u])
+        for u in once.features)
 
     pairs = {}
     for epoch in range(20):
@@ -277,7 +277,7 @@ def test_pem_determinism_and_freshness():
         for record in data.manifest.records:
             pairs.setdefault(record.utt_id, []).append(
                 (record.noise_offset, record.snr))
-        data.discard()
+        del data
     total = sum(len(v) for v in pairs.values())
     unique = sum(len(set(v)) for v in pairs.values())
     freshness = unique / total

@@ -169,6 +169,12 @@ class TestInjection:
             inject_gaussian(np.zeros((2, FEATURE_DIM)), -0.1,
                             np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_sigma_rejected(self, sigma):
+        with pytest.raises(DataError, match="finite and >= 0"):
+            inject_gaussian(np.zeros((2, FEATURE_DIM)), sigma,
+                            np.random.default_rng(0))
+
 
 class TestFeatureFile:
     def test_round_trip_bytes(self, tmp_path):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from snrtrain.audio import CLEAN, NoisePool, Waveform
-from snrtrain.curriculum import Decision, Schedule, StageController
 from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
-from snrtrain.pem import (EpochConfig, EpochManifest, generate_epoch,
-                          pipeline_run, regenerate_item)
+from snrtrain.pem import (EpochConfig, EpochManifest, draw_and_render,
+                          generate_epoch, regenerate_item)
 from snrtrain.task import SyntheticTask, Utterance, make_corpus
 
 
@@ -33,9 +32,9 @@ class TestGenerateEpoch:
         a = generate_epoch(config_for(4), corpus, pool, stats)
         b = generate_epoch(config_for(4), corpus, pool, stats)
         assert a.manifest == b.manifest
-        for utt_id in a.utt_ids():
-            np.testing.assert_array_equal(a.features_for(utt_id),
-                                          b.features_for(utt_id))
+        for utt_id in a.features:
+            np.testing.assert_array_equal(a.features[utt_id],
+                                          b.features[utt_id])
 
     def test_epochs_differ(self, small_setup):
         _, corpus, pool, stats = small_setup
@@ -81,34 +80,15 @@ class TestGenerateEpoch:
 
 
 class TestDiscard:
-    def test_discard_leaves_only_manifest(self, small_setup):
-        _, corpus, pool, stats = small_setup
-        data = generate_epoch(config_for(1), corpus, pool, stats)
-        assert len(data.utt_ids()) == len(corpus)
-        manifest_before = data.manifest
-        data.discard()
-        assert data.utt_ids() == []
-        assert data.manifest == manifest_before
-        with pytest.raises(DataError):
-            data.features_for(corpus[0].utt_id)
-
-    def test_double_discard_is_noop(self, small_setup):
-        _, corpus, pool, stats = small_setup
-        data = generate_epoch(config_for(1), corpus, pool, stats)
-        data.discard()
-        data.discard()
-        assert data.discarded
+    """An epoch's features, once freed, rebuild from its manifest."""
 
     def test_regeneration_from_manifest_matches_checksums(self, small_setup):
         _, corpus, pool, stats = small_setup
         cfg = config_for(6)
         data = generate_epoch(cfg, corpus, pool, stats)
-        manifest = data.manifest
-        originals = {u: data.features_for(u).copy() for u in data.utt_ids()}
-        data.discard()
-        for utterance, record in zip(corpus, manifest.records):
+        for utterance, record in zip(corpus, data.manifest.records):
             feats = regenerate_item(record, cfg, utterance, pool, stats)
-            np.testing.assert_array_equal(feats, originals[utterance.utt_id])
+            np.testing.assert_array_equal(feats, data.features[utterance.utt_id])
 
     def test_regeneration_detects_corruption(self, small_setup):
         _, corpus, pool, stats = small_setup
@@ -151,10 +131,10 @@ class TestFirstEpoch:
         generated = generate_epoch(cfg0, corpus, pool, fitted.stats)
         assert generated.stats is fitted.stats
         assert fitted.manifest == generated.manifest
-        assert fitted.utt_ids() == generated.utt_ids()
-        for utt_id in generated.utt_ids():
-            np.testing.assert_array_equal(fitted.features_for(utt_id),
-                                          generated.features_for(utt_id))
+        assert list(fitted.features) == list(generated.features)
+        for utt_id in generated.features:
+            np.testing.assert_array_equal(fitted.features[utt_id],
+                                          generated.features[utt_id])
 
     @pytest.mark.parametrize("stats_given", [False, True])
     def test_render_error_names_the_utterance(self, small_setup, stats_given):
@@ -166,121 +146,18 @@ class TestFirstEpoch:
                            stats if stats_given else None)
 
 
-def scripted_metrics(controller, values):
-    """A consume callback that advances controller by the next of values."""
-    values = iter(values)
-
-    def consume(epoch_index, data):
-        assert not data.discarded
-        return controller.advance(next(values))
-
-    return consume
-
-
-def counting(generate):
-    """generate, and the list of epoch indices it is called with."""
-    calls = []
-
-    def wrapped(epoch_index, stage_set):
-        calls.append(epoch_index)
-        return generate(epoch_index, stage_set)
-
-    return wrapped, calls
-
-
-class TestPipelineRun:
-    def make_parts(self, small_setup, kind="accan", patience=2, max_epochs=30):
+class TestDrawAndRender:
+    def test_epoch_seed_parts_give_the_manifest_draws(self, small_setup):
         _, corpus, pool, stats = small_setup
-        schedule = Schedule(kind, patience=patience, max_epochs=max_epochs)
-        controller = StageController(schedule)
+        stage = (0.0, 10.0, 20.0)
+        data = generate_epoch(config_for(4, stage=stage), corpus, pool, stats)
+        for utterance, record in zip(corpus, data.manifest.records):
+            offset, snr, _ = draw_and_render(utterance, pool, stage,
+                                             99, "epoch", 4, "utt")
+            assert (offset, snr) == (record.noise_offset, record.snr)
 
-        def generate(epoch_index, stage_set):
-            return generate_epoch(config_for(epoch_index, stage=stage_set),
-                                  corpus, pool, stats)
 
-        return controller, generate
-
-    def test_each_epoch_is_discarded_before_the_next_is_generated(self,
-                                                                  small_setup):
-        controller, generate = self.make_parts(small_setup, patience=1,
-                                               max_epochs=8)
-        made = []
-
-        def checked_generate(epoch_index, stage_set):
-            assert all(data.discarded for data in made)
-            made.append(generate(epoch_index, stage_set))
-            return made[-1]
-
-        # never improves after epoch 0 -> a stage switch at every patience
-        result = pipeline_run(controller, checked_generate,
-                              scripted_metrics(controller, [10.0] * 8))
-        assert result.epochs_completed == 8
-        assert any(r.decision is Decision.SWITCH_STAGE for r in controller.records)
-        assert len(made) == 8 and all(data.discarded for data in made)
-
-    def test_single_epoch_degenerates(self, small_setup):
-        controller, generate = self.make_parts(small_setup, max_epochs=1)
-        result = pipeline_run(controller, generate,
-                              scripted_metrics(controller, [10.0]))
-        assert result.status == "terminated"
-        assert result.epochs_completed == 1
-
-    def test_switch_uses_fresh_stage_set(self, small_setup):
-        controller, generate = self.make_parts(small_setup, patience=1,
-                                               max_epochs=10)
-        seen_stages = []
-
-        def consume(epoch_index, data):
-            seen_stages.append(sorted({r.snr for r in data.manifest.records}))
-            # never improves after epoch 1 -> switch every patience
-            return controller.advance(10.0)
-
-        pipeline_run(controller, generate, consume)
-        # stage 0 draws only 0 dB; later stages admit higher values
-        assert seen_stages[0] == [0.0]
-        assert any(max(stage) > 0.0 for stage in seen_stages[2:])
-
-    def test_generation_failure_aborts_after_drain(self, small_setup):
-        controller, generate = self.make_parts(small_setup, max_epochs=10)
-
-        def flaky_generate(epoch_index, stage_set):
-            if epoch_index == 1:
-                raise DataError("boom")
-            return generate(epoch_index, stage_set)
-
-        consumed = []
-
-        def consume(epoch_index, data):
-            consumed.append(epoch_index)
-            return controller.advance(10.0)
-
-        with pytest.raises(DataError, match="boom"):
-            pipeline_run(controller, flaky_generate, consume)
-        assert consumed == [0]  # epoch 0 finished training before the abort
-
-    def test_no_prefetch_past_the_last_epoch(self, small_setup):
-        controller, generate = self.make_parts(small_setup, kind="multicondition",
-                                               patience=10, max_epochs=4)
-        counting_generate, generated = counting(generate)
-
-        consumed = []
-
-        def consume(epoch_index, data):
-            consumed.append(epoch_index)
-            return controller.advance(10.0)
-
-        result = pipeline_run(controller, counting_generate, consume)
-        assert result.status == "terminated"
-        assert generated == [0, 1, 2, 3]
-        assert consumed == [0, 1, 2, 3]
-
-    def test_no_prefetch_past_stop_after(self, small_setup):
-        controller, generate = self.make_parts(small_setup, kind="multicondition",
-                                               patience=10, max_epochs=8)
-        counting_generate, generated = counting(generate)
-
-        result = pipeline_run(controller, counting_generate,
-                              scripted_metrics(controller, [10.0] * 3),
-                              stop_after_epochs=3)
-        assert result.status == "stopped"
-        assert generated == [0, 1, 2]
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_epoch_config_rejects_bad_gauss_sigma(sigma):
+    with pytest.raises(DataError, match="gauss_sigma"):
+        EpochConfig(0, (0.0,), 1, gauss_sigma=sigma)

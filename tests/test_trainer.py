@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import file_digests
-from snrtrain import features, trainer
+from snrtrain import features, pem, trainer
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
 from snrtrain.errors import ComputeError, DataError
@@ -444,3 +444,122 @@ def test_only_the_current_stage_dev_set_is_kept(tiny_setup, monkeypatch):
     assert [r.epoch for r in result.switch_records] == [2, 5]
     assert [len(refs) for refs in stages] == [len(dev_corpus)] * 2
     assert alive_at_entry == [0, 0]
+
+
+def watch_generation(patch) -> list:
+    """Wrap pem.generate_epoch; returns the list of (EpochConfig, weakref to
+    the EpochData) it fills, one per call. Each call asserts that every
+    earlier epoch is already freed."""
+    generate = pem.generate_epoch
+    made = []
+
+    def watching_generate(cfg, corpus, pool, stats=None):
+        assert all(ref() is None for _, ref in made), cfg.epoch_index
+        data = generate(cfg, corpus, pool, stats)
+        made.append((cfg, weakref.ref(data)))
+        return data
+
+    patch.setattr(pem, "generate_epoch", watching_generate)
+    return made
+
+
+def test_each_epoch_is_freed_before_the_next_is_generated(tiny_setup, monkeypatch,
+                                                          tmp_path):
+    train_corpus, dev_corpus, pool = tiny_setup
+    made = watch_generation(monkeypatch)
+    schedule = Schedule("accan", patience=1, max_epochs=5)
+    out_dir = tmp_path / "run"
+    result = train(train_corpus, dev_corpus, schedule, pool,
+                   tiny_config(master_seed=5), out_dir=out_dir)
+    assert [r.epoch for r in result.switch_records] == [2, 5]
+    assert [cfg.epoch_index for cfg, _ in made] == [0, 1, 2, 3, 4]
+    assert result.max_live_epochs == 1
+    # resuming the terminated run generates no epoch
+    resumed = train(train_corpus, dev_corpus, schedule, pool,
+                    tiny_config(master_seed=5), out_dir=out_dir)
+    assert resumed.epochs_run == 0 and resumed.max_live_epochs == 0
+    assert len(made) == 5
+
+
+def test_epoch_after_a_switch_draws_from_the_wider_stage(tiny_setup, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    made = watch_generation(monkeypatch)
+    schedule = Schedule("accan", patience=1, max_epochs=5)
+    result = train(train_corpus, dev_corpus, schedule, pool,
+                   tiny_config(master_seed=5))
+    assert result.switch_records[0].epoch == 2  # epoch 2 opens stage 1
+    stages = [set(cfg.stage_snr_set) for cfg, _ in made]
+    drawn = [{r.snr for r in m.records} for m in result.manifests]
+    assert stages[0] == stages[1] < stages[2]
+    assert all(d <= stage for d, stage in zip(drawn, stages))
+    assert not drawn[2] <= stages[1]
+
+
+def test_stop_after_generates_exactly_that_many_epochs(tiny_setup, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    made = watch_generation(monkeypatch)
+    schedule = Schedule("multicondition", patience=10, max_epochs=8)
+    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                   stop_after=3)
+    assert result.status == "stopped" and result.epochs_run == 3
+    assert [cfg.epoch_index for cfg, _ in made] == [0, 1, 2]
+
+
+def test_single_epoch_run_terminates(tiny_setup, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    made = watch_generation(monkeypatch)
+    schedule = Schedule("multicondition", patience=2, max_epochs=1)
+    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+    assert result.status == "terminated" and result.epochs_run == 1
+    assert [cfg.epoch_index for cfg, _ in made] == [0]
+
+
+def test_generation_failure_resumes_into_the_uninterrupted_files(
+        tiny_setup, tmp_path, monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("multicondition", patience=2, max_epochs=3)
+    full_dir = tmp_path / "full"
+    train(train_corpus, dev_corpus, schedule, pool, tiny_config(), out_dir=full_dir)
+
+    generate = pem.generate_epoch
+
+    def failing_generate(cfg, corpus, pool, stats=None):
+        if cfg.epoch_index == 1:
+            raise DataError("injected failure")
+        return generate(cfg, corpus, pool, stats)
+
+    crashed_dir = tmp_path / "crashed"
+    with monkeypatch.context() as patch:
+        patch.setattr(pem, "generate_epoch", failing_generate)
+        with pytest.raises(DataError, match="injected failure"):
+            train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                  out_dir=crashed_dir)
+    # epoch 0 trained and was saved before the failure
+    assert [p.name for p in (crashed_dir / "manifests").iterdir()] == \
+        ["epoch_0000.manifest"]
+    resumed = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
+                    out_dir=crashed_dir)
+    assert resumed.epochs_run == 2
+    assert file_digests(crashed_dir) == file_digests(full_dir)
+
+
+SHORT_DEV = Utterance("devshort", Waveform(0.1 * np.ones(100), TASK.sample_rate_hz),
+                      ("a",))
+
+
+def test_dev_render_error_names_the_utterance(tiny_setup):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("multicondition", patience=2, max_epochs=2)
+    with pytest.raises(DataError, match="'devshort'.*shorter than one"):
+        train(train_corpus, dev_corpus + (SHORT_DEV,), schedule, pool,
+              tiny_config())
+
+
+@pytest.mark.parametrize("condition", [CLEAN, -10.0])
+def test_evaluation_render_error_names_the_utterance(tiny_setup, tiny_model,
+                                                     condition):
+    _, dev_corpus, pool = tiny_setup
+    with pytest.raises(DataError, match="'devshort'.*shorter than one"):
+        evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                               tiny_model.stats, dev_corpus + (SHORT_DEV,),
+                               pool, condition, eval_seed=1)
