@@ -2,22 +2,24 @@
 
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, fsum two-pass statistics,
-memoized recursion, periodogram regression, linear programming. Two
+memoized recursion, periodogram regression, linear programming. Three
 helpers are not oracles: `ctc_single` scores one sequence through the
-library's batched CTC so that the oracles can be compared with it, and
+library's batched CTC so that the oracles can be compared with it,
 `file_digests` fingerprints a run directory so that two runs can be compared
-file by file.
+file by file, and `watch_generation` records every epoch a run generates.
 """
 
 import hashlib
 import itertools
 import math
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 
+from snrtrain import pem
 from snrtrain.ctc import ctc_loss_and_grad
 
 
@@ -101,6 +103,23 @@ def file_digests(root) -> dict:
     root = Path(root)
     return {path.relative_to(root).as_posix(): hashlib.blake2b(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def watch_generation(patch) -> list:
+    """Wrap pem.generate_epoch; returns the list of (EpochConfig, weakref to
+    the EpochData) it fills, one per call. Each call asserts that every
+    earlier epoch is already freed."""
+    generate = pem.generate_epoch
+    made = []
+
+    def watching_generate(cfg, corpus, pool, stats=None):
+        assert all(ref() is None for _, ref in made), cfg.epoch_index
+        data = generate(cfg, corpus, pool, stats)
+        made.append((cfg, weakref.ref(data)))
+        return data
+
+    patch.setattr(pem, "generate_epoch", watching_generate)
+    return made
 
 
 def loop_ctc_loss_and_grad(log_probs, labels):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import watch_generation
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
 from snrtrain.pem import (EpochConfig, EpochManifest, draw_and_render,
                           generate_epoch, regenerate_item)
+from snrtrain.curriculum import Schedule
 from snrtrain.task import SyntheticTask, Utterance, make_corpus
+from snrtrain.trainer import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +158,37 @@ class TestDrawAndRender:
             offset, snr, _ = draw_and_render(utterance, pool, stage,
                                              99, "epoch", 4, "utt")
             assert (offset, snr) == (record.noise_offset, record.snr)
+
+
+class TestPipelineRun:
+    """A run of max_epochs=1, driven through trainer.train, ends after its
+    one epoch and generates no epoch past it."""
+
+    @pytest.fixture(scope="class")
+    def single_epoch_run(self, small_setup):
+        task, corpus, pool, _ = small_setup
+        dev_corpus = make_corpus(task, 4, seed=4, id_prefix="dev")
+        patch = pytest.MonkeyPatch()
+        try:
+            made = watch_generation(patch)
+            result = train(corpus, dev_corpus,
+                           Schedule("multicondition", patience=2, max_epochs=1),
+                           pool, TrainConfig(master_seed=404, learning_rate=2e-3,
+                                             batch_size=8, hidden_size=24,
+                                             gauss_sigma=0.6))
+        finally:
+            patch.undo()
+        return result, [cfg.epoch_index for cfg, _ in made]
+
+    def test_single_epoch_degenerates(self, single_epoch_run):
+        result, _ = single_epoch_run
+        assert result.status == "terminated" and result.epochs_run == 1
+        assert [m.epoch_index for m in result.manifests] == [0]
+
+    def test_no_prefetch_past_the_last_epoch(self, single_epoch_run):
+        result, generated = single_epoch_run
+        assert generated == [0]
+        assert result.max_live_epochs == 1
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from helpers import file_digests
+from helpers import file_digests, watch_generation
 from snrtrain import features, pem, trainer
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
@@ -446,23 +446,6 @@ def test_only_the_current_stage_dev_set_is_kept(tiny_setup, monkeypatch):
     assert alive_at_entry == [0, 0]
 
 
-def watch_generation(patch) -> list:
-    """Wrap pem.generate_epoch; returns the list of (EpochConfig, weakref to
-    the EpochData) it fills, one per call. Each call asserts that every
-    earlier epoch is already freed."""
-    generate = pem.generate_epoch
-    made = []
-
-    def watching_generate(cfg, corpus, pool, stats=None):
-        assert all(ref() is None for _, ref in made), cfg.epoch_index
-        data = generate(cfg, corpus, pool, stats)
-        made.append((cfg, weakref.ref(data)))
-        return data
-
-    patch.setattr(pem, "generate_epoch", watching_generate)
-    return made
-
-
 def test_each_epoch_is_freed_before_the_next_is_generated(tiny_setup, monkeypatch,
                                                           tmp_path):
     train_corpus, dev_corpus, pool = tiny_setup
@@ -503,15 +486,6 @@ def test_stop_after_generates_exactly_that_many_epochs(tiny_setup, monkeypatch):
                    stop_after=3)
     assert result.status == "stopped" and result.epochs_run == 3
     assert [cfg.epoch_index for cfg, _ in made] == [0, 1, 2]
-
-
-def test_single_epoch_run_terminates(tiny_setup, monkeypatch):
-    train_corpus, dev_corpus, pool = tiny_setup
-    made = watch_generation(monkeypatch)
-    schedule = Schedule("multicondition", patience=2, max_epochs=1)
-    result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
-    assert result.status == "terminated" and result.epochs_run == 1
-    assert [cfg.epoch_index for cfg, _ in made] == [0]
 
 
 def test_generation_failure_resumes_into_the_uninterrupted_files(
