@@ -3,14 +3,18 @@
 SNR is defined over full-utterance RMS. Mixing adds a scaled noise segment
 to the signal; no clipping or renormalization is applied afterwards, so
 amplitudes may leave [-1, 1] and the achieved component SNR stays exact.
+
+WAV I/O goes through scipy's wavfile, imported on first use inside
+read_wav and write_wav: nothing else in the package needs scipy, so
+importing snrtrain does not load it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import DataError
 
@@ -127,8 +131,13 @@ def segment_at(pool: NoisePool, offset: int, length: int) -> Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono WAV file (16-bit PCM or 32-bit float) to normalized reals."""
-    rate, data = wavfile.read(path)
+    """Read a mono WAV file (16-bit PCM or 32-bit float) to normalized reals.
+    A file that is not a well-formed WAV raises DataError naming the path."""
+    from scipy.io import wavfile
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as err:
+        raise DataError(f"{path}: not a readable WAV file: {err}") from None
     if data.ndim != 1:
         raise DataError(f"{path}: only mono WAV is supported, got {data.ndim} channels")
     if data.dtype == np.int16:
@@ -145,6 +154,7 @@ def read_wav(path) -> Waveform:
 
 def write_wav(path, w: Waveform, sample_format: str = "float32") -> None:
     """Write a mono WAV file as 32-bit float (default) or 16-bit PCM."""
+    from scipy.io import wavfile
     if sample_format == "float32":
         wavfile.write(path, w.sample_rate_hz, w.samples.astype(np.float32))
     elif sample_format == "int16":

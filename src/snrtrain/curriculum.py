@@ -205,6 +205,10 @@ _SCHEDULE_KEYS = ("kind", "snr_min", "snr_max", "snr_step", "patience", "max_epo
 
 
 def grid_from_endpoints(snr_min: float, snr_max: float, snr_step: float) -> tuple:
+    for name, value in (("snr_min", snr_min), ("snr_max", snr_max),
+                        ("snr_step", snr_step)):
+        if not math.isfinite(value):
+            raise DataError(f"{name!r} must be finite, got {value}")
     if snr_step <= 0:
         raise DataError(f"snr_step must be positive, got {snr_step}")
     if snr_max < snr_min:

@@ -9,6 +9,7 @@ unit-variance; Gaussian injection is applied to normalized features.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -222,15 +223,12 @@ def inject_gaussian(values: np.ndarray, sigma: float, rng: np.random.Generator) 
 # followed by frames*dim row-major little-endian float32.
 # Stats files reuse the layout with two rows: mean then std.
 
+_HEADER = struct.Struct("<HII")  # version, frames, dim
+
 
 def write_feature_file(path, values: np.ndarray) -> None:
     values = _check_dim(values)
-    header = (
-        FILE_MAGIC
-        + np.uint16(FILE_VERSION).tobytes()
-        + np.uint32(values.shape[0]).tobytes()
-        + np.uint32(values.shape[1]).tobytes()
-    )
+    header = FILE_MAGIC + _HEADER.pack(FILE_VERSION, *values.shape)
     write_atomic((path, header + np.ascontiguousarray(values, dtype="<f4").tobytes()))
 
 
@@ -239,11 +237,12 @@ def read_feature_file(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != FILE_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {FILE_MAGIC!r}")
-        version = int(np.frombuffer(fh.read(2), dtype="<u2")[0])
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise DataError(f"{path}: truncated header")
+        version, frames, dim = _HEADER.unpack(header)
         if version != FILE_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        frames = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        dim = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
         if dim != FEATURE_DIM:
             raise DataError(f"{path}: dim {dim}, expected {FEATURE_DIM}")
         data = np.frombuffer(fh.read(frames * dim * 4), dtype="<f4")

@@ -10,6 +10,7 @@ whole experiment is reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ PARAM_ORDER = ("w_in", "w_rec", "b_rec", "w_out", "b_out")
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
+# after the magic: version, input_dim, hidden, outputs, init_seed, epoch,
+# param_count
+_CKPT_HEADER = struct.Struct("<HIIIQIQ")
 
 
 @dataclass(frozen=True)
@@ -162,16 +166,9 @@ class RecurrentCtcModel:
 
     def save_checkpoint(self, path, epoch: int) -> None:
         c = self.config
-        header = (
-            CKPT_MAGIC
-            + np.uint16(CKPT_VERSION).tobytes()
-            + np.uint32(c.input_dim).tobytes()
-            + np.uint32(c.hidden_size).tobytes()
-            + np.uint32(c.num_outputs).tobytes()
-            + np.uint64(c.init_seed & (2**64 - 1)).tobytes()
-            + np.uint32(epoch).tobytes()
-            + np.uint64(self.num_params()).tobytes()
-        )
+        header = CKPT_MAGIC + _CKPT_HEADER.pack(
+            CKPT_VERSION, c.input_dim, c.hidden_size, c.num_outputs,
+            c.init_seed & (2**64 - 1), epoch, self.num_params())
         write_atomic((path, header + b"".join(
             np.ascontiguousarray(self.params[k], dtype="<f4").tobytes()
             for k in PARAM_ORDER)))
@@ -182,15 +179,13 @@ def load_checkpoint(path, dropout: float = 0.3):
     with open(path, "rb") as fh:
         if fh.read(4) != CKPT_MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
-        version = int(np.frombuffer(fh.read(2), dtype="<u2")[0])
+        header = fh.read(_CKPT_HEADER.size)
+        if len(header) != _CKPT_HEADER.size:
+            raise DataError(f"{path}: truncated checkpoint header")
+        version, input_dim, hidden, outputs, seed, epoch, count = \
+            _CKPT_HEADER.unpack(header)
         if version != CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        input_dim = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        hidden = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        outputs = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        seed = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        epoch = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        count = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
         flat = np.frombuffer(fh.read(count * 4), dtype="<f4").astype(np.float64)
         if flat.size != count:
             raise DataError(f"{path}: truncated parameter block")

@@ -46,15 +46,24 @@ def generate_white(spec: NoiseSpec) -> Waveform:
 
 
 def generate_pink(spec: NoiseSpec) -> Waveform:
+    """Pink noise of spec.length samples. At most about two arrays of the
+    pool's size are alive at once: the white noise is freed once its
+    spectrum exists, the 1/sqrt(f) scale is formed in place, and the
+    spectrum is freed before the RMS step."""
     if spec.kind != "pink":
         raise DataError(f"spec kind is {spec.kind!r}, expected 'pink'")
+    if spec.length < 2:
+        # one sample has only the DC bin, which pink shaping zeroes
+        raise DataError(f"pink noise needs at least 2 samples, got {spec.length}")
     rng = np.random.default_rng(spec.seed)
-    white = rng.standard_normal(spec.length)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(spec.length, d=1.0 / spec.sample_rate_hz)
+    spectrum = np.fft.rfft(rng.standard_normal(spec.length))
+    scale = np.fft.rfftfreq(spec.length, d=1.0 / spec.sample_rate_hz)
+    np.sqrt(scale, out=scale)
     spectrum[0] = 0.0
-    spectrum[1:] /= np.sqrt(freqs[1:])
+    spectrum[1:] /= scale[1:]
+    del scale
     samples = np.fft.irfft(spectrum, n=spec.length)
+    del spectrum
     samples *= spec.target_rms / float(np.sqrt(np.mean(np.square(samples))))
     return Waveform(samples, spec.sample_rate_hz)
 
@@ -67,7 +76,10 @@ def generate_noise(spec: NoiseSpec) -> Waveform:
 
 
 def pink_pool_waveform(seconds: float, sample_rate_hz: int, seed: int) -> Waveform:
-    """Convenience constructor for noise pools a few tens of seconds long."""
+    """Convenience constructor for noise pools a few tens of seconds long.
+    `seconds` must be finite and positive, else DataError."""
+    if not (np.isfinite(seconds) and seconds > 0):
+        raise DataError(f"pool 'seconds' must be finite and > 0, got {seconds}")
     length = int(round(seconds * sample_rate_hz))
     return generate_pink(NoiseSpec("pink", length, sample_rate_hz, seed=seed))
 

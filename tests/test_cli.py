@@ -8,7 +8,7 @@ import pytest
 
 import reference_wer_tables as tables
 from snrtrain.audio import Waveform, read_wav, write_wav
-from snrtrain.features import FEATURE_DIM, read_feature_file
+from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
 from snrtrain.task import SyntheticTask, make_corpus
 from snrtrain.wer import parse_report_values
 
@@ -130,6 +130,29 @@ class TestFeaturize:
                        "--seed", "11", "--out", str(out))
         assert proc.returncode == 2
         assert "--sigma" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["not_a_wav", "cut_wav", "short_stats"])
+    def test_malformed_input_file_exit_2_names_file(self, tmp_path, damage):
+        wav = tmp_path / "in.wav"
+        write_tone(wav)
+        out = tmp_path / "out.feat"
+        args = ["featurize", "--in", str(wav), "--out", str(out)]
+        if damage == "not_a_wav":
+            bad = tmp_path / "x.feat"
+            write_feature_file(bad, np.zeros((3, FEATURE_DIM)))
+            args[2] = str(bad)
+        elif damage == "cut_wav":
+            bad = tmp_path / "cut.wav"
+            bad.write_bytes(wav.read_bytes()[:30])
+            args[2] = str(bad)
+        else:
+            bad = tmp_path / "stats.feat"
+            bad.write_bytes(b"FEAT\x01")
+            args += ["--stats", str(bad)]
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert f"error: {bad}:" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_stats_and_per_utt_stats_exclusive(self, tmp_path):
@@ -353,6 +376,12 @@ class TestTrainCommand:
         ("features", "gauss_sigma", -1),
         ("corpus", "seed", None),
         ("noise", "seed", None),
+        ("noise", "seconds", float("inf")),
+        ("schedule", "snr_max", float("inf")),
+        ("schedule", "snr_min", float("-inf")),
+        ("schedule file", "snr_step", "nan"),
+        ("schedule file", "snr_max", "inf"),
+        ("schedule file", "snr_min", "-inf"),
     ])
     def test_malformed_or_missing_value_exit_2(self, tmp_path, section, key, value):
         path = write_train_config(tmp_path)
@@ -483,3 +512,13 @@ class TestTrainCommand:
 def test_usage_error_exit_2():
     proc = run_cli("mix", "--in", "x.wav")  # missing required flags
     assert proc.returncode == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported on first WAV read or write; a fresh interpreter is
+    # needed because the test helpers import scipy into this one
+    code = ("import sys, snrtrain, snrtrain.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -153,3 +153,10 @@ class TestCheckpoint:
         path.write_bytes(b"nope")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        small_model(seed=6).save_checkpoint(path, epoch=3)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(DataError, match="short.ckpt: truncated checkpoint header"):
+            load_checkpoint(path)

@@ -1,10 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import helpers
 from snrtrain.audio import rms
 from snrtrain.errors import DataError
-from snrtrain.noise import NoiseSpec, generate_noise, generate_pink, generate_white
+from snrtrain.noise import (NoiseSpec, generate_noise, generate_pink, generate_white,
+                            pink_pool_waveform)
 
 
 def test_spec_validation():
@@ -21,6 +25,14 @@ def test_kind_mismatch_rejected():
         generate_pink(NoiseSpec("white", 100, 16000))
     with pytest.raises(DataError):
         generate_white(NoiseSpec("pink", 100, 16000))
+
+
+def test_pink_needs_two_samples():
+    with pytest.raises(DataError, match="at least 2 samples"):
+        generate_pink(NoiseSpec("pink", 1, 16000))
+    with pytest.raises(DataError, match="at least 2 samples"):
+        pink_pool_waveform(1 / 16000, 16000, 5)
+    assert len(generate_pink(NoiseSpec("pink", 2, 16000))) == 2
 
 
 @pytest.mark.parametrize("kind", ["pink", "white"])
@@ -66,3 +78,26 @@ def test_mean_vanishes(kind):
     n = 200_000
     out = generate_noise(NoiseSpec(kind, n, 16000, seed=8))
     assert abs(float(np.mean(out.samples))) < 5.0 * rms(out) / np.sqrt(n)
+
+
+def test_pink_pool_bytes_are_pinned():
+    pool = pink_pool_waveform(60.0, 16000, 5)
+    digest = hashlib.blake2b(pool.samples.tobytes(), digest_size=16).hexdigest()
+    assert digest == "b0b181d83cc97b861e28cf0019653b1a"
+
+
+def test_pink_pool_peak_memory_is_about_two_pools():
+    tracemalloc.start()
+    try:
+        pool = pink_pool_waveform(60.0, 16000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pool.samples.nbytes
+
+
+@pytest.mark.parametrize("seconds", [float("inf"), float("-inf"), float("nan"),
+                                     0.0, -1.0])
+def test_pool_seconds_must_be_finite_and_positive(seconds):
+    with pytest.raises(DataError, match="'seconds' must be finite and > 0"):
+        pink_pool_waveform(seconds, 16000, 5)
