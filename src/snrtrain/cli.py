@@ -19,7 +19,8 @@ from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
                     mixing_gain, read_wav, sample_segment_offset, segment_at,
                     write_wav)
 from .curriculum import Schedule, parse_schedule_file, schedule_from_fields
-from .errors import ComputeError, DataError, check_keys, field_value, write_atomic
+from .errors import (ComputeError, DataError, check_keys, field_value,
+                     read_text, write_atomic)
 from .noise import NoiseSpec, generate_pink, pink_pool_waveform
 from .seeding import derive_seed, derived_rng
 from .task import SyntheticTask, Utterance, make_corpus
@@ -146,11 +147,10 @@ def _pool_from_config(section: dict, base_dir: str, sample_rate_hz: int) -> Nois
 def load_run_config(path) -> dict:
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}: invalid JSON: {err}") from None
+    try:
+        config = json.loads(read_text(path))
+    except json.JSONDecodeError as err:
+        raise DataError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(config, dict):
         raise DataError(f"{path}: expected a JSON object")
     check_keys(config, ("master_seed", "out_dir", "corpus", "noise", "schedule",
@@ -219,8 +219,7 @@ def cmd_score(args) -> int:
     baseline_values = None
     baseline_name = ""
     if args.baseline is not None:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline_values = wer.parse_report_values(fh.read())
+        baseline_values = wer.parse_report_values(read_text(args.baseline))
         baseline_name = args.baseline
     report = wer.format_report(points, aggregates, baseline_values, baseline_name)
     if args.out is not None:
@@ -315,8 +314,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"error: file not found: {err.filename}", file=sys.stderr)
+    except OSError as err:
+        # an input or output path that cannot be opened: missing, a
+        # directory, not a directory or not permitted
+        if err.filename is None:
+            raise
+        reason = ("file not found" if isinstance(err, FileNotFoundError)
+                  else err.strerror)
+        print(f"error: {reason}: {err.filename}", file=sys.stderr)
         return 2
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)

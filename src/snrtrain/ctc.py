@@ -9,16 +9,18 @@ so its rows sum to zero. Blank occupies the last output index.
 
 A training batch is scored in one pass: `ctc_loss_and_grad` takes log-probs
 padded to (T, B, K) with K = symbols + 1, the frame count T_i of each item
-and each item's label list. The blank-extended targets are padded to the
-longest, 2 * len(labels) + 1 states. Padded states and frames t >= T_i
-emit -inf, so padding never feeds a real item and the values held in
-padded frames do not matter. Each item's loss and gradient equal those of
-scoring it alone, so one sequence is scored as a batch with B = 1.
+and each item's label list, and returns the gradient in the same padded
+(T, B, K) layout. The blank-extended targets are padded to the longest,
+2 * len(labels) + 1 states. Padded states and frames t >= T_i emit -inf,
+so padding never feeds a real item and the values held in padded frames
+(nan and +/-inf included) do not matter: gradient rows t >= T_i are
+exactly 0.0, and an item with no alignment gets an all-NaN gradient column.
+Each item's loss and gradient equal those of scoring it alone, so one
+sequence is scored as a batch with B = 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +78,15 @@ def ctc_feasible(num_frames: int, labels) -> bool:
     return num_frames >= len(labels) + repeats
 
 
-def _posteriors(log_probs, lengths, labels):
-    """Per-item losses (+inf when no alignment has nonzero probability)
-    and padded occupancy gamma.
+def ctc_loss_and_grad(log_probs, lengths, labels):
+    """Losses and logit gradients of a padded batch in one pass.
 
-    gamma has shape (T, B, K + 1): column K collects the padded states, and
-    rows t >= T_i of item i, like every row of an item with an infinite
-    loss, are not meaningful.
+    log_probs is (T, B, K), lengths the B frame counts and labels the B
+    label lists. Returns the (B,) losses, +inf for an item with no
+    alignment, and the (T, B, K) gradient: rows t >= T_i of item i are
+    exactly 0.0, and the column of an item whose loss is not finite is all
+    NaN. No value held in the padded frames of log_probs enters the
+    arithmetic.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     if log_probs.ndim != 3 or log_probs.shape[1] < 1 or log_probs.shape[2] < 2:
@@ -153,24 +157,12 @@ def _posteriors(log_probs, lengths, labels):
         occupancy = alpha + beta - emit - tail[:, None]
     gamma = np.zeros_like(padded)
     np.add.at(gamma, (slice(None), items[:, None], z), np.exp(occupancy))
-    return -tail, gamma
-
-
-def ctc_loss_and_grad(log_probs, lengths, labels):
-    """Losses and logit gradients of a padded batch in one pass.
-
-    log_probs is (T, B, K), lengths the B frame counts and labels the B
-    label lists. Returns the (B,) losses, +inf for an item with no
-    alignment, and a list of B (T_i, K) gradients, None where the loss is
-    not finite.
-    """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    losses, gamma = _posteriors(log_probs, lengths, labels)
-    num_outputs = log_probs.shape[2]
-    grads = [np.exp(log_probs[:n, i]) - gamma[:n, i, :num_outputs]
-             if math.isfinite(loss) else None
-             for i, (n, loss) in enumerate(zip(lengths, losses))]
-    return losses, grads
+    # exp reads -inf in frames past T_i, never what log_probs holds there;
+    # the where drops those frames' nan gamma
+    grads = np.where(valid[:, :, None], np.exp(padded[:, :, :num_outputs])
+                     - gamma[:, :, :num_outputs], 0.0)
+    grads[:, ~np.isfinite(tail)] = np.nan
+    return -tail, grads
 
 
 def best_path_decode(log_probs: np.ndarray) -> list[int]:

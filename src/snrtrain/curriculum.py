@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import CLEAN
-from .errors import DataError, check_keys, field_value
+from .errors import DataError, check_keys, field_value, read_text
 
 DEFAULT_SNR_GRID: tuple = tuple(float(v) for v in range(0, 55, 5))
 KINDS = ("multicondition", "accan", "accan_reversed")
@@ -242,13 +242,12 @@ def schedule_from_fields(fields: dict, where: str) -> Schedule:
 
 def parse_schedule_file(path) -> Schedule:
     fields: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
     return schedule_from_fields(fields, f"the schedule file {path}")

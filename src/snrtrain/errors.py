@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, the checks that turn the
-fields of an input file into typed values or a DataError, and the one
-writer of every file the toolkit makes except WAV.
+fields of an input file into typed values or a DataError, the one reader
+of every text input file and the one writer of every file the toolkit
+makes except WAV.
 
 The CLI maps DataError to exit code 2 (bad input / usage) and ComputeError
 to exit code 1 (numerical failure mid-run).
@@ -29,6 +30,16 @@ def write_atomic(*files) -> None:
             fh.write(data)
     for path, _ in files:
         os.replace(f"{path}.tmp", path)
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file, newlines translated as text mode does, or
+    DataError naming the file when it does not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not UTF-8 text ({err})") from None
 
 
 def check_keys(fields: dict, allowed, where: str) -> None:

@@ -63,24 +63,22 @@ class RecurrentCtcModel:
 
     def forward_batch(self, feature_list, train: bool = False,
                       rng: np.random.Generator | None = None):
-        """Log-prob sequences for a batch of utterances.
+        """Padded log-probs of a batch of utterances.
 
-        Returns (list of (T_i, K) arrays, cache-for-backward). Sequences are
-        padded internally; padded frames never influence returned values or
-        gradients computed from masked dlogits.
+        The (T_i, d) feature matrices, float32 or float64, are padded once
+        into a float64 (T, B, d) array with T the longest T_i. Returns
+        ((T, B, K) log-probs, cache-for-backward); rows t >= T_i of item i
+        come from its zero padding frames and feed no row t < T_i.
         """
         d, h = self.config.input_dim, self.config.hidden_size
-        lengths = []
         for f in feature_list:
-            f = np.asarray(f)
-            if f.ndim != 2 or f.shape[1] != d:
-                raise DataError(f"features must be (frames, {d}), got {f.shape}")
-            lengths.append(f.shape[0])
+            if np.ndim(f) != 2 or np.shape(f)[1] != d:
+                raise DataError(f"features must be (frames, {d}), got {np.shape(f)}")
         batch = len(feature_list)
-        max_t = max(lengths)
+        max_t = max(len(f) for f in feature_list)
         x = np.zeros((max_t, batch, d))
         for i, f in enumerate(feature_list):
-            x[: lengths[i], i] = f
+            x[: len(f), i] = f
 
         dropout = self.config.dropout
         mask = None
@@ -103,24 +101,20 @@ class RecurrentCtcModel:
         log_probs = logits - shift - np.log(
             np.sum(np.exp(logits - shift), axis=2, keepdims=True)
         )
-        outputs = [log_probs[: lengths[i], i] for i in range(batch)]
-        cache = (x, hidden, mask, lengths)
-        return outputs, cache
+        return log_probs, (x, hidden, mask)
 
     def forward(self, features, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        outputs, _ = self.forward_batch([features], train=train, rng=rng)
-        return outputs[0]
+        log_probs, _ = self.forward_batch([features], train=train, rng=rng)
+        return log_probs[:, 0]
 
-    def backward_batch(self, cache, dlogits_list) -> dict:
-        """Parameter gradients given d(loss)/d(logits) per sequence."""
-        x, hidden, mask, lengths = cache
+    def backward_batch(self, cache, dlogits) -> dict:
+        """Parameter gradients given the padded (T, B, K) d(loss)/d(logits)
+        of the forward_batch that made cache. Rows t >= T_i of item i must
+        be 0.0, as ctc_loss_and_grad gives them."""
+        x, hidden, mask = cache
         max_t, batch, _ = x.shape
         p = self.params
-        dlogits = np.zeros((max_t, batch, self.config.num_outputs))
-        for i, g in enumerate(dlogits_list):
-            dlogits[: lengths[i], i] = g
-
         grads = {k: np.zeros_like(v) for k, v in p.items()}
         dh_carry = np.zeros((batch, self.config.hidden_size))
         for t in range(max_t - 1, -1, -1):

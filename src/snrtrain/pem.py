@@ -27,7 +27,7 @@ import numpy as np
 
 from . import audio, curriculum, features
 from .audio import NoisePool, mix_at_snr, segment_at
-from .errors import ComputeError, DataError, write_atomic
+from .errors import ComputeError, DataError, read_text, write_atomic
 from .seeding import derive_seed, derived_rng
 from .wer import condition_key, format_condition
 
@@ -131,8 +131,7 @@ class EpochManifest:
 
     @staticmethod
     def read(path) -> "EpochManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return EpochManifest.from_text(fh.read())
+        return EpochManifest.from_text(read_text(path))
 
 
 @dataclass(frozen=True)

@@ -126,10 +126,10 @@ def decode_utterances(model: RecurrentCtcModel, alphabet: LabelAlphabet,
     hyps = {}
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
-        outputs, _ = model.forward_batch([feats for _, feats in chunk])
-        for (utterance, _), log_probs in zip(chunk, outputs):
+        log_probs, _ = model.forward_batch([feats for _, feats in chunk])
+        for i, (utterance, feats) in enumerate(chunk):
             hyps[utterance.utt_id] = tuple(
-                alphabet.decode(best_path_decode(log_probs)))
+                alphabet.decode(best_path_decode(log_probs[: len(feats), i])))
     return hyps
 
 
@@ -285,22 +285,18 @@ def _train_epoch(model, adam: AdamState, config: TrainConfig, train_corpus,
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch_ids = [train_corpus[i].utt_id for i in order[start : start + config.batch_size]]
-        feats = [epoch_features[utt_id].astype(np.float64) for utt_id in batch_ids]
-        outputs, cache = model.forward_batch(feats, train=True, rng=drop_rng)
-        lengths = [len(o) for o in outputs]
-        log_probs = np.zeros((max(lengths), len(outputs), outputs[0].shape[1]))
-        for i, o in enumerate(outputs):
-            log_probs[: lengths[i], i] = o
+        feats = [epoch_features[utt_id] for utt_id in batch_ids]
+        log_probs, cache = model.forward_batch(feats, train=True, rng=drop_rng)
         losses, dlogits = ctc_loss_and_grad(
-            log_probs, lengths, [encoded[utt_id] for utt_id in batch_ids])
+            log_probs, [len(f) for f in feats],
+            [encoded[utt_id] for utt_id in batch_ids])
         for utt_id, loss in zip(batch_ids, losses.tolist()):
             if not math.isfinite(loss):
                 raise ComputeError(
                     f"non-finite CTC loss at epoch {epoch_index}, "
                     f"utterance {utt_id!r}")
             total_loss += loss
-        grads = model.backward_batch(
-            cache, [g / len(batch_ids) for g in dlogits])
+        grads = model.backward_batch(cache, dlogits / len(batch_ids))
         adam_step(model.params, grads, adam,
                   learning_rate=config.learning_rate, beta1=config.beta1,
                   beta2=config.beta2, eps=config.adam_eps)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .audio import CLEAN
-from .errors import DataError, write_atomic
+from .errors import DataError, read_text, write_atomic
 
 CONDITIONS: tuple = (CLEAN,) + tuple(float(v) for v in range(50, -25, -5))
 HIGH_RANGE: tuple = tuple(float(v) for v in range(50, -5, -5))
@@ -110,15 +110,14 @@ def relative_improvement(baseline: float, method: float) -> float:
 
 def read_transcripts(path) -> dict:
     transcripts: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            utt_id, words = parts[0], tuple(parts[1:])
-            if utt_id in transcripts:
-                raise DataError(f"{path}:{line_no}: duplicate utterance id {utt_id!r}")
-            transcripts[utt_id] = words
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        utt_id, words = parts[0], tuple(parts[1:])
+        if utt_id in transcripts:
+            raise DataError(f"{path}:{line_no}: duplicate utterance id {utt_id!r}")
+        transcripts[utt_id] = words
     if not transcripts:
         raise DataError(f"{path}: no transcripts found")
     return transcripts

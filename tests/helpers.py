@@ -90,12 +90,12 @@ def brute_force_ctc_posterior(log_probs, labels) -> np.ndarray:
 
 
 def ctc_single(log_probs, labels):
-    """Loss and logit gradient of one (T, K) sequence: `ctc_loss_and_grad`
-    with B = 1. The gradient is None when no alignment exists; the state
-    posterior is exp(log_probs) - gradient."""
+    """Loss and (T, K) logit gradient of one (T, K) sequence:
+    `ctc_loss_and_grad` with B = 1. The gradient is all NaN when no
+    alignment exists; the state posterior is exp(log_probs) - gradient."""
     log_probs = np.asarray(log_probs, dtype=np.float64)
     losses, grads = ctc_loss_and_grad(log_probs[:, None], [len(log_probs)], [labels])
-    return float(losses[0]), grads[0]
+    return float(losses[0]), grads[:, 0]
 
 
 def file_digests(root) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference_wer_tables as tables
+from snrtrain import cli
 from snrtrain.audio import Waveform, read_wav, write_wav
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
 from snrtrain.task import SyntheticTask, make_corpus
@@ -507,6 +508,63 @@ class TestTrainCommand:
         proc = run_cli("train", "--config", str(config_path))
         assert proc.returncode == 0, proc.stderr
         assert "status=terminated" in proc.stdout
+
+
+UNDECODABLE = b"\x00\xff\xfe"
+
+
+def command_args(command, path, tmp_path):
+    """Arguments of `command` that read `path` as their input file."""
+    return {
+        "mix": ["mix", "--in", path, "--noise", "pink", "--snr", "0",
+                "--seed", "1", "--out", str(tmp_path / "out.wav")],
+        "featurize": ["featurize", "--in", path, "--out", str(tmp_path / "x.feat")],
+        "score": ["score", "--ref", path, "--hyp", path],
+        "train": ["train", "--config", path],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["mix", "featurize", "score", "train"])
+def test_directory_input_exit_2_names_path(tmp_path, capsys, command):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    assert cli.main(command_args(command, str(adir), tmp_path)) == 2
+    assert f"error: Is a directory: {adir}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mix", "featurize", "score"])
+def test_missing_input_keeps_file_not_found_message(tmp_path, capsys, command):
+    absent = tmp_path / "absent"
+    assert cli.main(command_args(command, str(absent), tmp_path)) == 2
+    assert f"error: file not found: {absent}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--ref", "--hyp", "--baseline"])
+def test_score_undecodable_input_exit_2_names_file(tmp_path, capsys, flag):
+    ref, hyp = build_condition_fixture(tmp_path, tables.PINK_BY_SNR, "gauss_pem")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(UNDECODABLE)
+    paths = {"--ref": ref, "--hyp": hyp, "--baseline": bad}
+    paths[flag] = bad
+    args = ["score", "--by-condition"]
+    for name, path in paths.items():
+        args += [name, str(path)]
+    assert cli.main(args) == 2
+    assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule_file", [False, True])
+def test_train_undecodable_input_exit_2_names_file(tmp_path, capsys, schedule_file):
+    config_path = write_train_config(tmp_path)
+    bad = config_path
+    if schedule_file:
+        bad = tmp_path / "schedule.txt"
+        config = json.loads(config_path.read_text())
+        config["schedule"] = bad.name
+        config_path.write_text(json.dumps(config))
+    bad.write_bytes(UNDECODABLE)
+    assert cli.main(["train", "--config", str(config_path)]) == 2
+    assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestLoss:
     def test_infeasible_flagged(self):
         lp = random_log_probs(np.random.default_rng(0), 2, 3)
         loss, grad = ctc_single(lp, [0, 0])  # needs >= 3 frames (repeat)
-        assert math.isinf(loss) and grad is None
+        assert math.isinf(loss) and np.isnan(grad).all()
         assert not ctc_feasible(2, [0, 0])
         assert ctc_feasible(3, [0, 0])
 
@@ -173,7 +174,8 @@ class TestGrad:
 
     def test_infeasible_gives_no_gradient(self):
         lp = random_log_probs(np.random.default_rng(0), 1, 3)
-        assert ctc_single(lp, [0, 1]) == (math.inf, None)
+        loss, grad = ctc_single(lp, [0, 1])
+        assert loss == math.inf and np.isnan(grad).all()
 
     def test_uniform_rows_symmetric_target(self):
         lp = log_softmax(np.zeros((4, 3)))
@@ -214,7 +216,7 @@ class TestBatch:
             log_probs, lengths, labels = ragged_batch(rng, batch, num_outputs,
                                                       max_t)
             losses, grads = ctc_loss_and_grad(log_probs, lengths, labels)
-            assert losses.shape == (batch,) and len(grads) == batch
+            assert losses.shape == (batch,) and grads.shape == log_probs.shape
             for i, (n, y) in enumerate(zip(lengths, labels)):
                 alone = log_probs[:n, i]
                 one_loss, one_grad = ctc_loss_and_grad(alone[:, None], [n], [y])
@@ -222,13 +224,12 @@ class TestBatch:
                 reference = helpers.brute_force_ctc_loss(alone, y)
                 if not ctc_feasible(n, y):
                     assert math.isinf(reference) and math.isinf(losses[i])
-                    assert grads[i] is None and one_grad[0] is None
+                    assert np.isnan(grads[:, i]).all() and np.isnan(one_grad).all()
                     continue
-                assert grads[i].shape == (n, num_outputs)
-                assert np.array_equal(grads[i], one_grad[0])
+                assert np.array_equal(grads[:n, i], one_grad[:, 0])
                 assert losses[i] == pytest.approx(reference, abs=1e-9)
                 gamma = helpers.brute_force_ctc_posterior(alone, y)
-                np.testing.assert_allclose(grads[i], np.exp(alone) - gamma,
+                np.testing.assert_allclose(grads[:n, i], np.exp(alone) - gamma,
                                            atol=1e-9)
 
     def test_long_items_equal_scalar_loops(self):
@@ -239,9 +240,33 @@ class TestBatch:
             for i, (n, y) in enumerate(zip(lengths, labels)):
                 loss, grad = helpers.loop_ctc_loss_and_grad(log_probs[:n, i], y)
                 assert losses[i] == loss
-                assert (grads[i] is None) == (grad is None)
+                assert np.isnan(grads[:, i]).all() == (grad is None)
                 if grad is not None:
-                    assert np.array_equal(grads[i], grad)
+                    assert np.array_equal(grads[:n, i], grad)
+
+    def test_padded_frames_give_zero_rows_and_infeasible_items_nan(self):
+        rng = np.random.default_rng(23)
+        infeasible = 0
+        for batch in (1, 3, 8, 16):
+            log_probs, lengths, labels = ragged_batch(rng, batch, 5, 30)
+            # exp(1e3) overflows: reading a padded value would warn
+            padding = np.arange(len(log_probs))[:, None] >= lengths
+            log_probs[padding] = np.resize([np.nan, np.inf, -np.inf, 1e3],
+                                           log_probs[padding].shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                losses, grads = ctc_loss_and_grad(log_probs, lengths, labels)
+            assert grads.shape == log_probs.shape
+            for i, (n, y) in enumerate(zip(lengths, labels)):
+                loss, grad = helpers.loop_ctc_loss_and_grad(log_probs[:n, i], y)
+                assert losses[i] == loss
+                if grad is None:
+                    infeasible += 1
+                    assert np.isnan(grads[:, i]).all()
+                else:
+                    assert np.array_equal(grads[:n, i], grad)
+                    assert np.all(grads[n:, i] == 0.0)
+        assert infeasible >= 3
 
     def test_normalisation_checked_on_valid_frames_only(self):
         rng = np.random.default_rng(31)

@@ -236,3 +236,9 @@ class TestScheduleFile:
     def test_bad_step_rejected(self):
         with pytest.raises(DataError):
             grid_from_endpoints(0.0, 50.0, 7.0)
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "schedule.txt"
+        path.write_bytes(b"\x00\xff\xfe")
+        with pytest.raises(DataError, match="schedule.txt is not UTF-8"):
+            parse_schedule_file(path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import ctc_single
+from snrtrain.ctc import ctc_loss_and_grad
 from snrtrain.errors import DataError
 from snrtrain.model import (ModelConfig, RecurrentCtcModel, adam_init,
                             adam_step, load_checkpoint)
@@ -34,8 +35,9 @@ class TestForward:
         rng = np.random.default_rng(2)
         feats = [rng.normal(size=(n, 7)) for n in (5, 9, 3)]
         batched, _ = model.forward_batch(feats)
-        for f, out in zip(feats, batched):
-            np.testing.assert_allclose(out, model.forward(f), atol=1e-12)
+        for i, f in enumerate(feats):
+            np.testing.assert_allclose(batched[: len(f), i], model.forward(f),
+                                       atol=1e-12)
 
     def test_dropout_needs_rng_and_changes_output(self):
         model = small_model(dropout=0.4)
@@ -61,7 +63,8 @@ class TestBackward:
             return ctc_single(model.forward(feats), labels)[0]
 
         outputs, cache = model.forward_batch([feats])
-        grads = model.backward_batch(cache, [ctc_single(outputs[0], labels)[1]])
+        grads = model.backward_batch(
+            cache, ctc_single(outputs[:, 0], labels)[1][:, None])
         step = 1e-5
         worst = 0.0
         for name in model.params:
@@ -87,14 +90,33 @@ class TestBackward:
         separate = {}
         for f, y in zip(feats, targets):
             outs, cache = model.forward_batch([f])
-            grads = model.backward_batch(cache, [ctc_single(outs[0], y)[1]])
+            grads = model.backward_batch(cache, ctc_single(outs[:, 0], y)[1][:, None])
             for k, v in grads.items():
                 separate[k] = separate.get(k, 0.0) + v
         outs, cache = model.forward_batch(feats)
-        together = model.backward_batch(
-            cache, [ctc_single(o, y)[1] for o, y in zip(outs, targets)])
+        _, dlogits = ctc_loss_and_grad(outs, [len(f) for f in feats], targets)
+        together = model.backward_batch(cache, dlogits)
         for k in together:
             np.testing.assert_allclose(together[k], separate[k], atol=1e-12)
+
+    def test_float32_features_equal_float64_copies(self):
+        # the epoch's features are float32; padding converts them exactly
+        model = small_model(dropout=0.3, seed=6)
+        rng = np.random.default_rng(8)
+        feats = [rng.normal(size=(n, 7)).astype(np.float32) for n in (7, 3, 5)]
+        targets = [[0, 1], [2], [3, 3]]
+        steps = []
+        for batch in (feats, [f.astype(np.float64) for f in feats]):
+            log_probs, cache = model.forward_batch(
+                batch, train=True, rng=np.random.default_rng(9))
+            losses, dlogits = ctc_loss_and_grad(
+                log_probs, [len(f) for f in batch], targets)
+            steps.append((log_probs, losses, model.backward_batch(cache, dlogits)))
+        (lp32, loss32, grads32), (lp64, loss64, grads64) = steps
+        assert np.array_equal(lp32, lp64) and np.array_equal(loss32, loss64)
+        assert np.all(np.isfinite(loss32))
+        for k in grads64:
+            assert np.array_equal(grads32[k], grads64[k])
 
 
 class TestAdam:

@@ -113,6 +113,12 @@ class TestManifestFile:
         back = EpochManifest.read(path)
         assert back == data.manifest
 
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "epoch_0000.manifest"
+        path.write_bytes(b"\x00\xff\xfe")
+        with pytest.raises(DataError, match="epoch_0000.manifest is not UTF-8"):
+            EpochManifest.read(path)
+
     def test_layout_is_tab_separated(self, small_setup):
         _, corpus, pool, stats = small_setup
         data = generate_epoch(config_for(2, stage=(CLEAN,), sigma=0.0),
