@@ -2,8 +2,12 @@
 """Train curriculum / multi-condition / clean-only models on the synthetic
 tone task and compare their WER at low test SNRs.
 
+Each (seed, method) job is an experiment config trained into its own run
+directory, OUT/<method>-s<seed>/. Rerunning with the same --out resumes
+every job from its saved state; a finished job trains 0 epochs.
+
 Example:
-    python scripts/run_curriculum_comparison.py --seeds 1,2,3
+    python scripts/run_curriculum_comparison.py --seeds 1,2,3 --out comparison
 """
 
 import argparse
@@ -23,6 +27,8 @@ def main(argv=None) -> int:
     parser.add_argument("--hidden-size", type=int, default=64)
     parser.add_argument("--patience", type=int, default=3)
     parser.add_argument("--learning-rate", type=float, default=2e-3)
+    parser.add_argument("--out", required=True, metavar="DIR",
+                        help="directory of the jobs' run directories")
     args = parser.parse_args(argv)
 
     spec = ComparisonSpec(
@@ -35,7 +41,7 @@ def main(argv=None) -> int:
         learning_rate=args.learning_rate,
     )
     start = time.time()
-    result = run_comparison(spec, progress=print)
+    result = run_comparison(spec, args.out, progress=print)
     print(f"\ntotal wall time {time.time() - start:.0f}s\n")
     for line in result.summary_lines():
         print(line)

@@ -11,7 +11,6 @@ importing snrtrain does not load it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +135,11 @@ def read_wav(path) -> Waveform:
     from scipy.io import wavfile
     try:
         rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as err:
-        raise DataError(f"{path}: not a readable WAV file: {err}") from None
+    except OSError:
+        raise  # missing, a directory or not permitted: not a format fault
+    except Exception as err:  # scipy raises many kinds on a malformed file
+        raise DataError(f"{path}: not a readable WAV file: "
+                        f"{type(err).__name__}: {err}") from None
     if data.ndim != 1:
         raise DataError(f"{path}: only mono WAV is supported, got {data.ndim} channels")
     if data.dtype == np.int16:

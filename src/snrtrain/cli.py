@@ -8,22 +8,18 @@ wall clock.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import features, pem, trainer, wer
+from . import experiments, features, pem, wer
 from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
                     mixing_gain, read_wav, sample_segment_offset, segment_at,
                     write_wav)
-from .curriculum import Schedule, parse_schedule_file, schedule_from_fields
-from .errors import (ComputeError, DataError, check_keys, field_value,
-                     read_text, write_atomic)
-from .noise import NoiseSpec, generate_pink, pink_pool_waveform
-from .seeding import derive_seed, derived_rng
-from .task import SyntheticTask, Utterance, make_corpus
+from .errors import ComputeError, DataError, read_text, write_atomic
+from .noise import NoiseSpec, generate_pink
+from .seeding import derived_rng
 
 
 def cmd_mix(args) -> int:
@@ -72,134 +68,10 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _schedule_from_config(section, base_dir: str) -> Schedule:
-    if isinstance(section, str):
-        path = section if os.path.isabs(section) else os.path.join(base_dir, section)
-        if not os.path.exists(path):
-            raise DataError(f"schedule file not found: {path}")
-        return parse_schedule_file(path)
-    return schedule_from_fields(section, "the 'schedule' section")
-
-
-_CORPUS_KEYS = {
-    "synthetic": ("kind", "seed", "num_train", "num_dev", "min_symbols",
-                  "max_symbols"),
-    "wav-dir": ("kind", "train", "dev"),
-}
-
-
-def _corpus_from_config(section: dict, base_dir: str):
-    where = "the 'corpus' section"
-    kind = field_value(section, "kind", str, where, "synthetic")
-    if kind not in _CORPUS_KEYS:
-        raise DataError(f"unknown corpus kind {kind!r}")
-    check_keys(section, _CORPUS_KEYS[kind], where)
-    if kind == "wav-dir":
-        train_dir = field_value(section, "train", str, where)
-        dev_dir = field_value(section, "dev", str, where)
-        return (_load_wav_dir(os.path.join(base_dir, train_dir)),
-                _load_wav_dir(os.path.join(base_dir, dev_dir)))
-    task = SyntheticTask(
-        min_symbols=field_value(section, "min_symbols", int, where,
-                                SyntheticTask.min_symbols),
-        max_symbols=field_value(section, "max_symbols", int, where,
-                                SyntheticTask.max_symbols),
-    )
-    seed = field_value(section, "seed", int, where)
-    train_corpus = make_corpus(task, field_value(section, "num_train", int, where),
-                               derive_seed(seed, "train"))
-    dev_corpus = make_corpus(task, field_value(section, "num_dev", int, where),
-                             derive_seed(seed, "dev"), id_prefix="dev")
-    return train_corpus, dev_corpus
-
-
-def _load_wav_dir(path):
-    transcripts_path = os.path.join(path, "transcripts.tsv")
-    if not os.path.isdir(path):
-        raise DataError(f"corpus directory not found: {path}")
-    if not os.path.exists(transcripts_path):
-        raise DataError(f"missing transcripts file: {transcripts_path}")
-    utterances = []
-    for utt_id, words in wer.read_transcripts(transcripts_path).items():
-        wav_path = os.path.join(path, f"{utt_id}.wav")
-        if not os.path.exists(wav_path):
-            raise DataError(f"missing audio file: {wav_path}")
-        utterances.append(Utterance(utt_id, read_wav(wav_path), words))
-    return tuple(utterances)
-
-
-def _pool_from_config(section: dict, base_dir: str, sample_rate_hz: int) -> NoisePool:
-    where = "the 'noise' section"
-    kind = field_value(section, "kind", str, where)
-    if kind == "pink":
-        check_keys(section, ("kind", "seconds", "seed"), where)
-        seed = field_value(section, "seed", int, where)
-        waveform = pink_pool_waveform(field_value(section, "seconds", float, where, 60.0),
-                                      sample_rate_hz, seed)
-        return NoisePool(waveform, pool_id=f"pink:{seed}")
-    if kind == "wav":
-        check_keys(section, ("kind", "path"), where)
-        path = os.path.join(base_dir, field_value(section, "path", str, where))
-        return NoisePool(read_wav(path), pool_id=os.path.basename(path))
-    raise DataError(f"unknown noise kind {kind!r}; use 'pink' or 'wav'")
-
-
-def load_run_config(path) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
-    try:
-        config = json.loads(read_text(path))
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON: {err}") from None
-    if not isinstance(config, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    check_keys(config, ("master_seed", "out_dir", "corpus", "noise", "schedule",
-                        "features", "trainer"), path)
-    for key in ("master_seed", "out_dir", "corpus", "noise", "schedule"):
-        if key not in config:
-            raise DataError(f"{path}: missing required key {key!r}")
-    for key in ("corpus", "noise", "features", "trainer"):
-        if not isinstance(config.get(key, {}), dict):
-            raise DataError(f"{path}: {key!r} must be a JSON object")
-    if not isinstance(config["schedule"], (dict, str)):
-        raise DataError(f"{path}: 'schedule' must be a JSON object or a file path")
-    return config
-
-
-# the TrainConfig fields an experiment file may set, by section; the rest
-# keep TrainConfig's defaults
-_CONFIG_KEYS = {
-    "trainer": {"learning_rate": float, "batch_size": int, "dropout": float,
-                "hidden_size": int},
-    "features": {"gauss_sigma": float},
-}
-
-
-def _train_config(config: dict, path) -> trainer.TrainConfig:
-    settings = {}
-    for section, keys in _CONFIG_KEYS.items():
-        fields = config.get(section, {})
-        where = f"the {section!r} section"
-        check_keys(fields, keys, where)
-        for key in fields:
-            settings[key] = field_value(fields, key, keys[key], where)
-    return trainer.TrainConfig(master_seed=field_value(config, "master_seed", int, path),
-                               **settings)
-
-
 def cmd_train(args) -> int:
-    config = load_run_config(args.config)
-    train_config = _train_config(config, args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    train_corpus, dev_corpus = _corpus_from_config(config["corpus"], base_dir)
-    sample_rate = train_corpus[0].waveform.sample_rate_hz
-    pool = _pool_from_config(config["noise"], base_dir, sample_rate)
-    schedule = _schedule_from_config(config["schedule"], base_dir)
-    out_dir = field_value(config, "out_dir", str, args.config)
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
-    result = trainer.train(train_corpus, dev_corpus, schedule, pool, train_config,
-                           out_dir=out_dir, stop_after=args.stop_after)
+    config = experiments.load_run_config(args.config)
+    result, _, out_dir = experiments.run_experiment(config, args.config,
+                                                    args.stop_after)
     print(f"status={result.status} epochs={result.epochs_run} "
           f"stages_entered={result.stage_entry_count} "
           f"final_dev_wer={result.dev_wers[-1]:.4f}")
@@ -246,7 +118,8 @@ file formats (byte-exact):
   transcripts one utterance per line: "<utt_id> <word> <word> ...". For
               per-condition scoring, ids carry "@<dB>" or "@clean" tags.
   schedule    declarative text, "key = value" per line, '#' comments; keys:
-              kind, snr_min, snr_max, snr_step, patience, max_epochs.
+              kind, snr_min, snr_max, snr_step (or "grid = clean" for the
+              clean-only grid), patience, max_epochs.
   experiment  JSON with keys master_seed, out_dir, corpus, noise, schedule,
               and optional features / trainer sections; schedule holds the
               schedule file's keys or is a path to a schedule text file. An

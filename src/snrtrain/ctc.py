@@ -101,7 +101,7 @@ def ctc_loss_and_grad(log_probs, lengths, labels):
     labels = [_check_labels(y, num_outputs) for y in labels]
     valid = np.arange(max_t)[:, None] < lengths
     row_mass = np.logaddexp.reduce(log_probs[valid], axis=1)
-    if np.any(np.abs(row_mass) > 1e-6):
+    if np.any(~(np.abs(row_mass) <= 1e-6)):  # NaN fails too
         raise DataError("log-prob rows must normalize to 1 (log-sum-exp 0 +/- 1e-6)")
 
     # blank-extended targets; padded states read column K, which is -inf

@@ -200,8 +200,11 @@ class StageController:
 #   patience = 5
 #   max_epochs = 300
 # or as the "schedule" object of an experiment file, with the same keys.
+# The endpoint fields make a numeric grid; "grid = clean" in their place
+# makes the clean-only grid (CLEAN,).
 
-_SCHEDULE_KEYS = ("kind", "snr_min", "snr_max", "snr_step", "patience", "max_epochs")
+_SCHEDULE_KEYS = ("kind", "snr_min", "snr_max", "snr_step", "grid", "patience",
+                  "max_epochs")
 
 
 def grid_from_endpoints(snr_min: float, snr_max: float, snr_step: float) -> tuple:
@@ -227,11 +230,18 @@ def schedule_from_fields(fields: dict, where: str) -> Schedule:
     malformed value raises DataError naming the key and `where`."""
     check_keys(fields, _SCHEDULE_KEYS, where)
     kind = field_value(fields, "kind", str, where)
-    grid = grid_from_endpoints(
-        field_value(fields, "snr_min", float, where, DEFAULT_SNR_GRID[0]),
-        field_value(fields, "snr_max", float, where, DEFAULT_SNR_GRID[-1]),
-        field_value(fields, "snr_step", float, where, 5.0),
-    )
+    if "grid" in fields:
+        if (field_value(fields, "grid", str, where) != CLEAN
+                or {"snr_min", "snr_max", "snr_step"} & fields.keys()):
+            raise DataError(f"'grid' in {where} must be {CLEAN!r}, in place of "
+                            "snr_min, snr_max and snr_step")
+        grid = (CLEAN,)
+    else:
+        grid = grid_from_endpoints(
+            field_value(fields, "snr_min", float, where, DEFAULT_SNR_GRID[0]),
+            field_value(fields, "snr_max", float, where, DEFAULT_SNR_GRID[-1]),
+            field_value(fields, "snr_step", float, where, 5.0),
+        )
     return Schedule(
         kind=kind,
         grid=grid,

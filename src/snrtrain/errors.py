@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, the checks that turn the
-fields of an input file into typed values or a DataError, the one reader
-of every text input file and the one writer of every file the toolkit
-makes except WAV.
+fields or payload size of an input file into typed values or a DataError,
+the one reader of every text input file and the one writer of every file
+the toolkit makes except WAV.
 
 The CLI maps DataError to exit code 2 (bad input / usage) and ComputeError
 to exit code 1 (numerical failure mid-run).
@@ -30,6 +30,15 @@ def write_atomic(*files) -> None:
             fh.write(data)
     for path, _ in files:
         os.replace(f"{path}.tmp", path)
+
+
+def read_payload(fh, size: int, path) -> bytes:
+    """The rest of an open binary file, which must be `size` bytes long, or
+    DataError naming the file, raised before a damaged count allocates."""
+    present = os.fstat(fh.fileno()).st_size - fh.tell()
+    if present != size:
+        raise DataError(f"{path}: payload of {present} bytes, header implies {size}")
+    return fh.read(size)
 
 
 def read_text(path) -> str:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import Waveform
-from .errors import DataError, write_atomic
+from .errors import DataError, read_payload, write_atomic
 
 FRAME_LENGTH_MS = 25.0
 FRAME_SHIFT_MS = 10.0
@@ -245,9 +245,7 @@ def read_feature_file(path) -> np.ndarray:
             raise DataError(f"{path}: unsupported version {version}")
         if dim != FEATURE_DIM:
             raise DataError(f"{path}: dim {dim}, expected {FEATURE_DIM}")
-        data = np.frombuffer(fh.read(frames * dim * 4), dtype="<f4")
-        if data.size != frames * dim:
-            raise DataError(f"{path}: truncated payload")
+        data = np.frombuffer(read_payload(fh, frames * dim * 4, path), dtype="<f4")
     return data.reshape(frames, dim).astype(np.float64)
 
 

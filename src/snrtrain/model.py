@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, write_atomic
+from .errors import DataError, read_payload, write_atomic
 
 PARAM_ORDER = ("w_in", "w_rec", "b_rec", "w_out", "b_out")
 
@@ -180,9 +180,12 @@ def load_checkpoint(path, dropout: float = 0.3):
             _CKPT_HEADER.unpack(header)
         if version != CKPT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        flat = np.frombuffer(fh.read(count * 4), dtype="<f4").astype(np.float64)
-        if flat.size != count:
-            raise DataError(f"{path}: truncated parameter block")
+        implied = (input_dim + hidden + 1) * hidden + (hidden + 1) * outputs
+        if count != implied:
+            raise DataError(f"{path}: param_count {count}, but input_dim, "
+                            f"hidden and outputs imply {implied}")
+        flat = np.frombuffer(read_payload(fh, count * 4, path),
+                             dtype="<f4").astype(np.float64)
     config = ModelConfig(num_outputs=outputs, input_dim=input_dim,
                          hidden_size=hidden, dropout=dropout, init_seed=seed)
     model = RecurrentCtcModel(config)
@@ -192,8 +195,6 @@ def load_checkpoint(path, dropout: float = 0.3):
         size = model.params[k].size
         model.params[k] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
-    if offset != count:
-        raise DataError(f"{path}: parameter count mismatch")
     return model, epoch
 
 

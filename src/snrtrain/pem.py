@@ -27,7 +27,7 @@ import numpy as np
 
 from . import audio, curriculum, features
 from .audio import NoisePool, mix_at_snr, segment_at
-from .errors import ComputeError, DataError, read_text, write_atomic
+from .errors import ComputeError, DataError, field_value, read_text, write_atomic
 from .seeding import derive_seed, derived_rng
 from .wer import condition_key, format_condition
 
@@ -124,7 +124,9 @@ class EpochManifest:
                 meta[key] = value
             elif line.strip():
                 records.append(ManifestRecord.from_line(line))
-        return EpochManifest(int(meta["epoch"]), meta["config"], tuple(records))
+        return EpochManifest(field_value(meta, "epoch", int, "the manifest header"),
+                             field_value(meta, "config", str, "the manifest header"),
+                             tuple(records))
 
     def write(self, path) -> None:
         write_atomic((path, self.to_text().encode("utf-8")))

@@ -105,6 +105,20 @@ def file_digests(root) -> dict:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+# one-byte edits (offset, new value) of a float32 WAV header on which scipy's
+# wavfile.read raises something other than ValueError: a fmt chunk size of
+# 0xff (UnboundLocalError), 0 channels (ZeroDivisionError) and 1-bit
+# samples (TypeError)
+WAV_HEADER_EDITS = {"fmt_size": (16, 0xFF), "no_channels": (22, 0x00),
+                    "one_bit": (32, 0x01)}
+
+
+def edit_byte(path, offset: int, value: int) -> None:
+    raw = bytearray(Path(path).read_bytes())
+    raw[offset] = value
+    Path(path).write_bytes(bytes(raw))
+
+
 def watch_generation(patch) -> list:
     """Wrap pem.generate_epoch; returns the list of (EpochConfig, weakref to
     the EpochData) it fills, one per call. Each call asserts that every

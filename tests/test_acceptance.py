@@ -344,9 +344,9 @@ def test_feature_contract():
 # --- criterion 9: directional end-to-end --------------------------------------
 
 
-def test_directional_end_to_end():
+def test_directional_end_to_end(tmp_path):
     start = time.time()
-    result = run_comparison(ComparisonSpec())
+    result = run_comparison(ComparisonSpec(), tmp_path)
     accan_low = result.low_snr_mean("accan")
     mc_low = result.low_snr_mean("multicondition")
     clean_at_0 = result.outcomes["clean_only"].mean_wer(0.0)

@@ -186,6 +186,14 @@ class TestWavIo:
         back = read_wav(path)
         np.testing.assert_allclose(back.samples, w.samples, atol=1.0 / 32768.0)
 
+    @pytest.mark.parametrize("edit", sorted(helpers.WAV_HEADER_EDITS))
+    def test_malformed_header_raises_data_error_naming_path(self, tmp_path, edit):
+        path = tmp_path / "bad.wav"
+        write_wav(path, seeded_noise_wave(8, n=333), "float32")
+        helpers.edit_byte(path, *helpers.WAV_HEADER_EDITS[edit])
+        with pytest.raises(DataError, match=f"{path}: not a readable WAV file"):
+            read_wav(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_wav(tmp_path / "x.wav", seeded_noise_wave(1), "mp3")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 import reference_wer_tables as tables
 from snrtrain import cli
 from snrtrain.audio import Waveform, read_wav, write_wav
@@ -71,6 +72,17 @@ class TestMix:
         assert proc.returncode == 2
         assert "absent.wav" in proc.stderr
 
+    @pytest.mark.parametrize("edit", sorted(helpers.WAV_HEADER_EDITS))
+    def test_malformed_wav_exit_2_names_path(self, tmp_path, capsys, edit):
+        sig = tmp_path / "sig.wav"
+        write_tone(sig, seed=6)
+        helpers.edit_byte(sig, *helpers.WAV_HEADER_EDITS[edit])
+        out = tmp_path / "out.wav"
+        assert cli.main(["mix", "--in", str(sig), "--noise", "pink", "--snr", "0",
+                         "--seed", "1", "--out", str(out)]) == 2
+        assert f"error: {sig}: not a readable WAV file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_snr_exit_2_names_value(self, tmp_path, target):
         sig = tmp_path / "sig.wav"
@@ -133,7 +145,8 @@ class TestFeaturize:
         assert "--sigma" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["not_a_wav", "cut_wav", "short_stats"])
+    @pytest.mark.parametrize("damage", ["not_a_wav", "cut_wav", "short_stats",
+                                        "cut_stats"])
     def test_malformed_input_file_exit_2_names_file(self, tmp_path, damage):
         wav = tmp_path / "in.wav"
         write_tone(wav)
@@ -149,7 +162,11 @@ class TestFeaturize:
             args[2] = str(bad)
         else:
             bad = tmp_path / "stats.feat"
-            bad.write_bytes(b"FEAT\x01")
+            if damage == "short_stats":
+                bad.write_bytes(b"FEAT\x01")
+            else:  # cut mid-float
+                write_feature_file(bad, np.ones((2, FEATURE_DIM)))
+                bad.write_bytes(bad.read_bytes()[:-3])
             args += ["--stats", str(bad)]
         proc = run_cli(*args)
         assert proc.returncode == 2
@@ -291,6 +308,29 @@ def write_train_config(tmp_path, out_name="run", kind="accan", patience=1,
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config, indent=2))
     return path
+
+
+def write_wav_dir_config(tmp_path, duplicate=False):
+    """A multicondition experiment on 4 train and 4 dev WAVs in train/ and
+    dev/, each with its transcripts.tsv; the train one repeats its first
+    line when `duplicate`."""
+    task = SyntheticTask()
+    for name, seed in (("train", 31), ("dev", 32)):
+        corpus_dir = tmp_path / name
+        corpus_dir.mkdir()
+        corpus = make_corpus(task, 4, seed=seed, id_prefix=name)
+        for u in corpus:
+            write_wav(corpus_dir / f"{u.utt_id}.wav", u.waveform)
+        lines = [f"{u.utt_id} {' '.join(u.words)}\n" for u in corpus]
+        if duplicate and name == "train":
+            lines.append(lines[0])
+        (corpus_dir / "transcripts.tsv").write_text("".join(lines))
+    config_path = write_train_config(tmp_path, kind="multicondition",
+                                     patience=1, max_epochs=3)
+    config = json.loads(config_path.read_text())
+    config["corpus"] = {"kind": "wav-dir", "train": "train", "dev": "dev"}
+    config_path.write_text(json.dumps(config))
+    return config_path
 
 
 class TestTrainCommand:
@@ -471,22 +511,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_wav_dir_corpus(self, tmp_path, duplicate):
-        task = SyntheticTask()
-        for name, seed in (("train", 31), ("dev", 32)):
-            corpus_dir = tmp_path / name
-            corpus_dir.mkdir()
-            corpus = make_corpus(task, 4, seed=seed, id_prefix=name)
-            for u in corpus:
-                write_wav(corpus_dir / f"{u.utt_id}.wav", u.waveform)
-            lines = [f"{u.utt_id} {' '.join(u.words)}\n" for u in corpus]
-            if duplicate and name == "train":
-                lines.append(lines[0])
-            (corpus_dir / "transcripts.tsv").write_text("".join(lines))
-        config_path = write_train_config(tmp_path, kind="multicondition",
-                                         patience=1, max_epochs=3)
-        config = json.loads(config_path.read_text())
-        config["corpus"] = {"kind": "wav-dir", "train": "train", "dev": "dev"}
-        config_path.write_text(json.dumps(config))
+        config_path = write_wav_dir_config(tmp_path, duplicate)
         proc = run_cli("train", "--config", str(config_path), "--stop-after", "1")
         if duplicate:
             assert proc.returncode == 2
@@ -495,6 +520,18 @@ class TestTrainCommand:
         else:
             assert proc.returncode == 0, proc.stderr
             assert "status=stopped epochs=1" in proc.stdout
+
+    @pytest.mark.parametrize("absent", ["dev/transcripts.tsv", "train/train0001.wav",
+                                        "schedule.txt"])
+    def test_missing_file_named_by_config_exit_2(self, tmp_path, capsys, absent):
+        config_path = write_wav_dir_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["schedule"] = "schedule.txt"
+        config_path.write_text(json.dumps(config))
+        (tmp_path / "schedule.txt").write_text("kind = accan\n")
+        (tmp_path / absent).unlink()
+        assert cli.main(["train", "--config", str(config_path)]) == 2
+        assert f"error: file not found: {tmp_path / absent}" in capsys.readouterr().err
 
     def test_schedule_file_reference(self, tmp_path):
         config_path = write_train_config(tmp_path, kind="multicondition",
@@ -532,7 +569,7 @@ def test_directory_input_exit_2_names_path(tmp_path, capsys, command):
     assert f"error: Is a directory: {adir}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["mix", "featurize", "score"])
+@pytest.mark.parametrize("command", ["mix", "featurize", "score", "train"])
 def test_missing_input_keeps_file_not_found_message(tmp_path, capsys, command):
     absent = tmp_path / "absent"
     assert cli.main(command_args(command, str(absent), tmp_path)) == 2
@@ -565,6 +602,16 @@ def test_train_undecodable_input_exit_2_names_file(tmp_path, capsys, schedule_fi
     bad.write_bytes(UNDECODABLE)
     assert cli.main(["train", "--config", str(config_path)]) == 2
     assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_help_documents_the_clean_grid(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert (
+        "  schedule    declarative text, \"key = value\" per line, '#' comments; keys:\n"
+        "              kind, snr_min, snr_max, snr_step (or \"grid = clean\" for the\n"
+        "              clean-only grid), patience, max_epochs.\n"
+    ) in capsys.readouterr().out
 
 
 def test_usage_error_exit_2():

@@ -103,8 +103,11 @@ class TestLoss:
         assert ctc_single(permuted, relabeled)[0] == ctc_single(lp, labels)[0]
 
     def test_unnormalized_rows_rejected(self):
-        with pytest.raises(DataError):
-            ctc_single(np.zeros((2, 3)), [0])
+        nan_in_valid_frame = np.full((3, 3), -np.log(3.0))
+        nan_in_valid_frame[1, 0] = np.nan
+        for log_probs in (np.zeros((2, 3)), nan_in_valid_frame):
+            with pytest.raises(DataError):
+                ctc_single(log_probs, [0])
 
     def test_tiny_probabilities_stay_finite(self):
         p = np.full((6, 3), 1e-30)

@@ -221,11 +221,23 @@ class TestScheduleFile:
         {"kind": "multicondition", "patience": 2, "max_epochs": 6},
         {"kind": "accan_reversed", "snr_min": -5, "snr_max": 20,
          "snr_step": 2.5},
+        {"kind": "multicondition", "grid": "clean", "patience": 2},
     ])
     def test_text_and_json_forms_agree(self, tmp_path, fields):
         path = tmp_path / "schedule.txt"
         path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
         assert parse_schedule_file(path) == schedule_from_fields(fields, "a test")
+
+    def test_grid_field_spells_only_the_clean_grid(self):
+        schedule = schedule_from_fields({"kind": "multicondition", "grid": "clean"},
+                                        "a test")
+        assert schedule == Schedule("multicondition", (CLEAN,))
+        for fields, message in (
+                ({"grid": "0"}, "'grid' in a test must be 'clean', in place of"),
+                ({"grid": 0}, "'grid' in a test must be a string"),
+                ({"grid": "clean", "snr_max": 20}, "'grid' in a test must be 'clean'")):
+            with pytest.raises(DataError, match=message):
+                schedule_from_fields({"kind": "accan", **fields}, "a test")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "schedule.txt"

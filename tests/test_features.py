@@ -198,6 +198,14 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="magic"):
             read_feature_file(path)
 
+    def test_payload_cut_mid_float_rejected(self, tmp_path):
+        path = tmp_path / "cut.feat"
+        write_feature_file(path, np.zeros((3, FEATURE_DIM)))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(DataError, match="cut.feat: payload of 1473 bytes, "
+                                            "header implies 1476"):
+            read_feature_file(path)
+
     def test_stats_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         stats = NormStats(rng.normal(size=FEATURE_DIM),

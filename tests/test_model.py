@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"nope")
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("outputs,count,message", [
+        (2**31 - 1, None, "param_count 119, but"),
+        (5, 10**9, "param_count 1000000000, but"),
+        # a count that agrees with the huge dims: the payload is too short
+        (2**31 - 1, (7 + 6 + 1) * 6 + 7 * (2**31 - 1), "payload of 476 bytes"),
+    ])
+    def test_header_counts_checked_before_allocating(self, tmp_path, outputs,
+                                                     count, message):
+        path = tmp_path / "huge.ckpt"
+        small_model(seed=6).save_checkpoint(path, epoch=3)
+        raw = bytearray(path.read_bytes())
+        # after the magic: version u16, input_dim u32, hidden u32, outputs u32,
+        # init_seed u64, epoch u32, param_count u64
+        struct.pack_into("<I", raw, 14, outputs)
+        if count is not None:
+            struct.pack_into("<Q", raw, 30, count)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"huge.ckpt: {message}"):
             load_checkpoint(path)
 
     def test_short_header_rejected(self, tmp_path):

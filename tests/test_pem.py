@@ -119,6 +119,18 @@ class TestManifestFile:
         with pytest.raises(DataError, match="epoch_0000.manifest is not UTF-8"):
             EpochManifest.read(path)
 
+    @pytest.mark.parametrize("header,message", [
+        ("# config=0123456789abcdef\n", "needs the key 'epoch'"),
+        ("# epoch=3\n", "needs the key 'config'"),
+        ("# epoch=\n# config=0123456789abcdef\n", "'epoch' in the manifest header"),
+    ])
+    def test_missing_or_empty_header_line_rejected(self, tmp_path, header, message):
+        path = tmp_path / "epoch_0003.manifest"
+        path.write_text(f"# pem-manifest v1\n{header}u0\t12\tclean\t7\t"
+                        "0123456789abcdef\n")
+        with pytest.raises(DataError, match=message):
+            EpochManifest.read(path)
+
     def test_layout_is_tab_separated(self, small_setup):
         _, corpus, pool, stats = small_setup
         data = generate_epoch(config_for(2, stage=(CLEAN,), sigma=0.0),
