@@ -237,7 +237,8 @@ def run_comparison(spec: ComparisonSpec, out_dir, progress=None) -> ComparisonRe
             os.makedirs(job_dir, exist_ok=True)
             path = os.path.join(job_dir, "experiment.json")
             text = json.dumps(config, indent=2) + "\n"
-            # the saved state's fingerprint does not cover the noise pool
+            # refused before the file is overwritten; the saved state's
+            # fingerprint would refuse the changed job only after
             if os.path.exists(path) and read_text(path) != text:
                 raise DataError(f"{path} holds another experiment; refusing to resume")
             write_atomic((path, text.encode()))

@@ -92,8 +92,11 @@ class ManifestRecord:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 5:
             raise DataError(f"manifest record needs 5 tab-separated fields: {line!r}")
-        return ManifestRecord(parts[0], int(parts[1]), condition_key(parts[2]),
-                              int(parts[3]), parts[4])
+        numbers = {"noise_offset": parts[1], "inject_seed": parts[3]}
+        where = f"manifest record {line!r}"
+        return ManifestRecord(parts[0], field_value(numbers, "noise_offset", int, where),
+                              condition_key(parts[2]),
+                              field_value(numbers, "inject_seed", int, where), parts[4])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import weakref
+import zipfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,8 +33,7 @@ from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_st
 from .seeding import derive_seed, derived_rng
 from .wer import corpus_wer
 
-STATE_ARRAYS = "state.npz"
-STATE_META = "state.json"
+STATE_FILE = "state.npz"
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,14 @@ class TrainConfig:
             raise DataError(f"'gauss_sigma' must be finite and >= 0, "
                             f"got {self.gauss_sigma}")
 
-    def fingerprint(self, schedule: Schedule, corpus_id: str) -> str:
+    def fingerprint(self, schedule: Schedule, corpus_id: str, pool: NoisePool) -> str:
         payload = json.dumps(
             {
                 "config": {f.name: getattr(self, f.name) for f in fields(self)},
                 "schedule": [schedule.kind, [str(v) for v in schedule.grid],
                              schedule.patience, schedule.resolved_max_epochs],
                 "corpus": corpus_id,
+                "pool": [pool.pool_id, len(pool), pool.noise.sample_rate_hz],
             },
             sort_keys=True,
         )
@@ -175,7 +176,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     encoded = {u.utt_id: alphabet.encode(u.words) for u in train_corpus}
     dev_refs = {u.utt_id: u.words for u in dev_corpus}
     corpus_id = corpus_fingerprint(train_corpus)
-    fingerprint = config.fingerprint(schedule, corpus_id)
+    fingerprint = config.fingerprint(schedule, corpus_id, pool)
 
     def epoch_config(epoch_index, stage_set):
         return pem.EpochConfig(
@@ -197,7 +198,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     controller = state.controller
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "manifests"), exist_ok=True)
-        if os.path.exists(os.path.join(out_dir, STATE_META)):
+        if os.path.exists(os.path.join(out_dir, STATE_FILE)):
             _load_state(out_dir, fingerprint, state)
 
     dev = (None, [])  # (stage index, its dev pairs); stages only move forward
@@ -304,10 +305,9 @@ def _train_epoch(model, adam: AdamState, config: TrainConfig, train_corpus,
 
 
 def _save_state(out_dir, fingerprint, state: RunState) -> None:
-    """Save state.npz and state.json, which records the digest of the npz
-    bytes, in one write_atomic call, so state.npz is renamed into place
-    before state.json. After a crash between the two renames, state.json.tmp
-    holds the new state.npz's digest, from which _load_state completes the save."""
+    """Save the run state as one state.npz in one write_atomic call: the
+    arrays, and a `meta` member holding the rest as UTF-8 JSON bytes, so each
+    dev WER is kept exact."""
     controller = state.controller
     arrays = {}
     for k, v in state.model.params.items():
@@ -320,12 +320,8 @@ def _save_state(out_dir, fingerprint, state: RunState) -> None:
         arrays[f"best:{k}"] = v
     arrays["stats:mean"] = state.stats.mean
     arrays["stats:std"] = state.stats.std
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    payload = buffer.getvalue()
     meta = {
         "fingerprint": fingerprint,
-        "arrays_digest": hashlib.blake2b(payload, digest_size=16).hexdigest(),
         "adam_step": state.adam.step,
         "stats_count": state.stats.sample_count,
         "controller": controller.to_state(),
@@ -334,66 +330,51 @@ def _save_state(out_dir, fingerprint, state: RunState) -> None:
         "switch_records": [[r.epoch, r.best_hash, r.restored_hash]
                            for r in state.switch_records],
     }
-    write_atomic((os.path.join(out_dir, STATE_ARRAYS), payload),
-                 (os.path.join(out_dir, STATE_META), json.dumps(meta, indent=2).encode()))
-
-
-def _read_meta(path) -> dict:
-    """The JSON object in a state.json file, or DataError naming the file."""
-    try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except ValueError as err:
-        raise DataError(f"{path} is not valid JSON ({err}); refusing to resume") from None
-    if not isinstance(meta, dict):
-        raise DataError(f"{path} does not hold a JSON object; refusing to resume")
-    return meta
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    write_atomic((os.path.join(out_dir, STATE_FILE), buffer.getvalue()))
 
 
 def _load_state(out_dir, fingerprint, state: RunState) -> None:
-    """Restore state from out_dir. A state that is damaged or does not
-    match the current configuration raises DataError naming the file."""
-    meta_path = os.path.join(out_dir, STATE_META)
-    meta = _read_meta(meta_path)
-    if meta.get("fingerprint") != fingerprint:
-        raise DataError(
-            f"{out_dir}: saved run has fingerprint {meta.get('fingerprint')}, "
-            f"current configuration has {fingerprint}; refusing to resume")
-    with open(os.path.join(out_dir, STATE_ARRAYS), "rb") as fh:
+    """Restore state from out_dir's state.npz. Every member's CRC-32 is
+    checked before any is used: numpy reads a member only as far as its npy
+    header says, so it skips the CRC check of a member whose header was
+    damaged. A damaged state, or one saved under another configuration,
+    raises DataError naming the file."""
+    path = os.path.join(out_dir, STATE_FILE)
+    with open(path, "rb") as fh:
         payload = fh.read()
-    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-    if meta.get("arrays_digest") != digest and os.path.exists(meta_path + ".tmp"):
-        # a save stopped between its two renames: finish it
-        pending = _read_meta(meta_path + ".tmp")
-        if (pending.get("fingerprint") == fingerprint
-                and pending.get("arrays_digest") == digest):
-            os.replace(meta_path + ".tmp", meta_path)
-            meta = pending
-    if meta.get("arrays_digest") != digest:
-        problem = ("does not match the digest in" if meta.get("arrays_digest")
-                   else "has no digest in")
-        raise DataError(f"{out_dir}: {STATE_ARRAYS} {problem} {STATE_META}; "
-                        "refusing to resume")
     try:
-        _restore(meta, payload, state)
+        with zipfile.ZipFile(io.BytesIO(payload)) as archive:
+            damaged = archive.testzip()
+        if damaged is not None:
+            raise DataError(f"{path}: member {damaged} fails its CRC-32 check; "
+                            "refusing to resume")
+        with np.load(io.BytesIO(payload)) as arrays:
+            meta = json.loads(arrays["meta"].tobytes())
+            if meta["fingerprint"] != fingerprint:
+                raise DataError(
+                    f"{out_dir}: saved run has fingerprint {meta['fingerprint']}, "
+                    f"current configuration has {fingerprint}; refusing to resume")
+            _restore(meta, arrays, state)
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"{meta_path} is damaged ({type(err).__name__}: {err}); "
+    except Exception as err:  # zipfile, zlib, numpy and json each raise their own types
+        raise DataError(f"{path} is damaged ({type(err).__name__}: {err}); "
                         "refusing to resume") from None
 
 
-def _restore(meta: dict, payload: bytes, state: RunState) -> None:
+def _restore(meta: dict, arrays, state: RunState) -> None:
     model, adam = state.model, state.adam
-    with np.load(io.BytesIO(payload)) as arrays:
-        for k in model.params:
-            model.params[k] = arrays[f"param:{k}"].copy()
-            adam.m[k] = arrays[f"adam_m:{k}"].copy()
-            adam.v[k] = arrays[f"adam_v:{k}"].copy()
-        best = ({k: arrays[f"best:{k}"].copy() for k in model.params},
-                meta["best_hash"])
-        state.stats = NormStats(arrays["stats:mean"].copy(),
-                                arrays["stats:std"].copy(), int(meta["stats_count"]))
+    for k in model.params:
+        model.params[k] = arrays[f"param:{k}"].copy()
+        adam.m[k] = arrays[f"adam_m:{k}"].copy()
+        adam.v[k] = arrays[f"adam_v:{k}"].copy()
+    best = ({k: arrays[f"best:{k}"].copy() for k in model.params},
+            meta["best_hash"])
+    state.stats = NormStats(arrays["stats:mean"].copy(),
+                            arrays["stats:std"].copy(), int(meta["stats_count"]))
     adam.step = int(meta["adam_step"])
     state.controller.restore_state(meta["controller"], best_checkpoint=best)
     state.train_losses.extend(meta["train_losses"])

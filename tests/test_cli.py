@@ -310,6 +310,12 @@ def write_train_config(tmp_path, out_name="run", kind="accan", patience=1,
     return path
 
 
+def state_members(run_dir) -> dict:
+    """Every member of run_dir/state.npz, by name."""
+    with np.load(run_dir / "state.npz") as npz:
+        return {name: npz[name] for name in npz.files}
+
+
 def write_wav_dir_config(tmp_path, duplicate=False):
     """A multicondition experiment on 4 train and 4 dev WAVs in train/ and
     dev/, each with its transcripts.tsv; the train one repeats its first
@@ -464,49 +470,51 @@ class TestTrainCommand:
                                   max_epochs=4)
         assert run_cli("train", "--config", str(path),
                        "--stop-after", "1").returncode == 0
-        state_path = tmp_path / "run" / "state.json"
-        meta = json.loads(state_path.read_text())
+        arrays = state_members(tmp_path / "run")
+        meta = json.loads(arrays["meta"].tobytes())
         # the earlier format held the controller's log as formatted lines
         controller = meta["controller"]
         controller["log_lines"] = [f"{e}\t{s}\t{w:.4f}\t{d}"
                                    for e, s, w, d in controller.pop("records")]
-        state_path.write_text(json.dumps(meta, indent=2))
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "run" / "state.npz", **arrays)
         proc = run_cli("train", "--config", str(path))
         assert proc.returncode == 2
         assert "epoch records" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("damage", ["flipped_byte", "no_digest",
-                                        "truncated_json", "no_adam_step",
-                                        "top_level_list"])
+    @pytest.mark.parametrize("damage", ["flipped_byte", "truncated_json",
+                                        "no_adam_step", "top_level_list",
+                                        "no_meta"])
     def test_state_arrays_not_matching_digest_exit_2(self, tmp_path, damage):
         path = write_train_config(tmp_path, kind="multicondition", patience=2,
                                   max_epochs=4)
         assert run_cli("train", "--config", str(path),
                        "--stop-after", "1").returncode == 0
         run_dir = tmp_path / "run"
-        meta_path = run_dir / "state.json"
-        meta = json.loads(meta_path.read_text())
+        state_path = run_dir / "state.npz"
+        arrays = state_members(run_dir)
+        meta = json.loads(arrays["meta"].tobytes())
         if damage == "flipped_byte":
-            arrays = bytearray((run_dir / "state.npz").read_bytes())
-            arrays[len(arrays) // 2] ^= 0x01
-            (run_dir / "state.npz").write_bytes(bytes(arrays))
-        elif damage == "no_digest":
-            # the format written before state.json recorded the digest
-            del meta["arrays_digest"]
-            meta_path.write_text(json.dumps(meta, indent=2))
-        elif damage == "truncated_json":
-            meta_path.write_text(meta_path.read_text()[:100])
-        elif damage == "no_adam_step":
-            del meta["adam_step"]
-            meta_path.write_text(json.dumps(meta, indent=2))
+            raw = bytearray(state_path.read_bytes())
+            raw[len(raw) // 2] ^= 0x01
+            state_path.write_bytes(bytes(raw))
         else:
-            meta_path.write_text(json.dumps([meta]))
+            if damage == "no_meta":
+                # the layout written before the meta moved from state.json
+                # into state.npz
+                del arrays["meta"]
+                (run_dir / "state.json").write_text(json.dumps(meta, indent=2))
+            else:
+                text = {"truncated_json": json.dumps(meta)[:100],
+                        "no_adam_step": json.dumps({k: v for k, v in meta.items()
+                                                    if k != "adam_step"}),
+                        "top_level_list": json.dumps([meta])}[damage]
+                arrays["meta"] = np.frombuffer(text.encode(), dtype=np.uint8)
+            np.savez(state_path, **arrays)
         proc = run_cli("train", "--config", str(path))
         assert proc.returncode == 2
-        assert "state.json" in proc.stderr
-        if damage in ("flipped_byte", "no_digest"):
-            assert "state.npz" in proc.stderr
+        assert "state.npz" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("duplicate", [False, True])

@@ -65,8 +65,9 @@ def test_jobs_are_run_directories(tmp_path, monkeypatch):
         sorted(f"{method}-s1" for method in METHODS)
     for method in METHODS:
         job = tmp_path / f"{method}-s1"
-        assert {"experiment.json", "train_log.tsv", "state.json",
-                "final.ckpt"} <= {p.name for p in job.iterdir()}
+        assert {p.name for p in job.iterdir()} == {
+            "experiment.json", "train_log.tsv", "stage_log.tsv", "stats.feat",
+            "final.ckpt", "state.npz", "manifests"}
     schedule = json.loads((tmp_path / "clean_only-s1" / "experiment.json")
                           .read_text())["schedule"]
     assert schedule["grid"] == CLEAN

@@ -119,14 +119,17 @@ class TestManifestFile:
         with pytest.raises(DataError, match="epoch_0000.manifest is not UTF-8"):
             EpochManifest.read(path)
 
-    @pytest.mark.parametrize("header,message", [
+    @pytest.mark.parametrize("lines,message", [
         ("# config=0123456789abcdef\n", "needs the key 'epoch'"),
         ("# epoch=3\n", "needs the key 'config'"),
         ("# epoch=\n# config=0123456789abcdef\n", "'epoch' in the manifest header"),
+        ("# epoch=3\n# config=0123456789abcdef\nu\tx\tclean\t1\tab\n",
+         "'noise_offset' in manifest record 'u\\\\tx.*must be an integer, got 'x'"),
     ])
-    def test_missing_or_empty_header_line_rejected(self, tmp_path, header, message):
+    def test_missing_or_empty_header_line_rejected(self, tmp_path, lines, message):
+        # lines: what comes between the version line and a valid record
         path = tmp_path / "epoch_0003.manifest"
-        path.write_text(f"# pem-manifest v1\n{header}u0\t12\tclean\t7\t"
+        path.write_text(f"# pem-manifest v1\n{lines}u0\t12\tclean\t7\t"
                         "0123456789abcdef\n")
         with pytest.raises(DataError, match=message):
             EpochManifest.read(path)
