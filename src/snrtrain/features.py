@@ -162,6 +162,8 @@ class NormStats:
             raise DataError(
                 f"stats must have {FEATURE_DIM} dims, got {mean.shape} / {std.shape}"
             )
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise DataError("stats hold a non-finite mean or standard deviation")
         if np.any(std <= 0):
             raise DataError("standard deviations must be positive")
         object.__setattr__(self, "mean", mean)
@@ -257,4 +259,7 @@ def read_norm_stats(path) -> NormStats:
     rows = read_feature_file(path)
     if rows.shape[0] != 2:
         raise DataError(f"{path}: stats file must have 2 rows, got {rows.shape[0]}")
-    return NormStats(rows[0], np.maximum(rows[1], STD_FLOOR), 0)
+    try:
+        return NormStats(rows[0], np.maximum(rows[1], STD_FLOOR), 0)
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None

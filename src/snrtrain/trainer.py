@@ -7,11 +7,14 @@ stage controller and save the state. Each epoch's data is freed before the
 next epoch is generated. Every source of randomness (segment offsets, SNR
 draws, feature injection, batch shuffling, dropout masks, dev-set mixing)
 is derived from the master seed by hashing, so reruns and resumed runs
-reproduce training logs bit for bit.
+reproduce training logs bit for bit. evaluate_condition_wer decodes a test
+condition on forked worker processes where that pays (see _decode_workers).
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import hashlib
 import io
 import json
@@ -20,6 +23,7 @@ import os
 import weakref
 import zipfile
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .errors import ComputeError, DataError, write_atomic
 from .features import NormStats, normalize, write_norm_stats
 from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng
-from .wer import corpus_wer
+from .wer import corpus_wer, format_condition
 
 STATE_FILE = "state.npz"
 
@@ -147,12 +151,126 @@ def _mixed_pairs(corpus, pool: NoisePool, stats: NormStats, stage_set,
 
 def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
                            eval_seed: int, batch_size: int = 16) -> float:
-    """Pooled WER of a model on one test condition with seeded mixing."""
-    pairs = _mixed_pairs(corpus, pool, stats, (condition,),
-                        eval_seed, "eval", str(condition))
-    hyps = decode_utterances(model, alphabet, pairs, batch_size)
+    """Pooled WER of a model on one test condition with seeded mixing.
+
+    Where _decode_workers gives worker processes, each renders and decodes
+    one contiguous run of whole decode batches and sends back only its
+    hypotheses, so every batch and every WER is the serial path's."""
+    seed_parts = (eval_seed, "eval", str(condition))
+    batches = -(-len(corpus) // batch_size)
+    workers = _decode_workers(corpus, pool, batches)
+    if workers is None:
+        hyps = _decode_part(model, alphabet, stats, corpus, pool, condition,
+                            seed_parts, batch_size)
+    else:
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+        executor, parts = workers[:2]
+        bounds = [min(len(corpus), batches * k // parts * batch_size)
+                  for k in range(parts + 1)]
+        hyps = {}
+        try:
+            futures = [executor.submit(
+                _worker_decode, model.config, model.params, alphabet, stats,
+                condition, seed_parts, batch_size, start, stop)
+                for start, stop in zip(bounds, bounds[1:])]
+            wait(futures)  # no part is left running when one raises
+            for future in futures:
+                hyps.update(future.result())
+        except BrokenProcessPool:
+            _stop_decode_workers()
+            raise ComputeError(f"a decode worker died evaluating condition "
+                               f"{format_condition(condition)}") from None
     refs = {u.utt_id: u.words for u in corpus}
     return corpus_wer(refs, hyps)
+
+
+def _decode_part(model, alphabet, stats, corpus, pool, condition, seed_parts,
+                 batch_size) -> dict:
+    pairs = _mixed_pairs(corpus, pool, stats, (condition,), *seed_parts)
+    return decode_utterances(model, alphabet, pairs, batch_size)
+
+
+_workers = None  # see _decode_workers
+_worker_data = None  # (corpus, pool), in a decode worker
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The set_num_threads function of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for suffix in ("64_", ""):
+            setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def _decode_workers(corpus, pool, batches: int):
+    """The live (executor, worker count, corpus, pool): a fork-context pool
+    of min(CPUs, batches) decode workers holding corpus and pool, kept for
+    later calls with the same two objects. None where the serial path runs
+    instead: one CPU, fewer than 2 batches, no OpenBLAS thread setter
+    (unpinned workers are slower than serial), or a call made inside a
+    worker process."""
+    global _workers
+    count = min(len(os.sched_getaffinity(0)), batches)
+    if count < 2 or _blas_thread_setter() is None:
+        return None
+    import multiprocessing
+    if multiprocessing.parent_process() is not None:
+        return None
+    if _workers is not None and _workers[1] == count \
+            and _workers[2] is corpus and _workers[3] is pool:
+        return _workers
+    _stop_decode_workers()
+    from concurrent.futures import ProcessPoolExecutor
+    executor = ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
+                                   initializer=_start_worker,
+                                   initargs=(corpus, pool))
+    _workers = (executor, count, corpus, pool)
+    return _workers
+
+
+def _stop_decode_workers() -> None:
+    global _workers
+    if _workers is not None:
+        _workers[0].shutdown()
+        _workers = None
+
+
+# an executor still alive at interpreter teardown prints an ignored exception
+atexit.register(_stop_decode_workers)
+
+
+def _start_worker(corpus, pool) -> None:
+    """Keep the forked corpus and pool, pin OpenBLAS to one thread and exit
+    when the parent process ends, however it ends."""
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    global _worker_data
+    _worker_data = (corpus, pool)
+    _blas_thread_setter()(1)
+
+    def exit_with_parent():
+        wait([multiprocessing.parent_process().sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _worker_decode(model_config, params, alphabet, stats, condition,
+                   seed_parts, batch_size, start, stop) -> dict:
+    corpus, pool = _worker_data
+    model = RecurrentCtcModel(model_config)
+    model.set_params(params)
+    return _decode_part(model, alphabet, stats, corpus[start:stop], pool,
+                        condition, seed_parts, batch_size)
 
 
 def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,

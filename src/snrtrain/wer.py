@@ -199,7 +199,8 @@ def format_report(points: Mapping, aggregates: RangeAggregates | None = None,
         if baseline is not None:
             lines.append(f"baseline={baseline_name}")
             for name, value in aggregates.as_dict().items():
-                if name in baseline:
+                # a zero baseline mean has no relative change
+                if baseline.get(name, 0.0) != 0.0:
                     gain = relative_improvement(float(baseline[name]), value)
                     lines.append(f"improvement[{name}]={gain:.4f}")
     return "\n".join(lines) + "\n"

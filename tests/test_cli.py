@@ -215,6 +215,21 @@ class TestFeaturize:
         normalized = read_feature_file(norm_out)
         np.testing.assert_allclose(normalized, (raw - 2.0) / 4.0, atol=1e-5)
 
+    def test_non_finite_stats_file_exit_2(self, tmp_path):
+        wav = tmp_path / "in.wav"
+        write_tone(wav)
+        rows = np.stack([np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)])
+        rows[0, 3], rows[1, 5] = np.inf, np.nan
+        stats_path = tmp_path / "stats.feat"
+        write_feature_file(stats_path, rows)
+        out = tmp_path / "norm.feat"
+        proc = run_cli("featurize", "--in", str(wav), "--stats",
+                       str(stats_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"error: {stats_path}: " in proc.stderr
+        assert "non-finite" in proc.stderr
+        assert not out.exists()
+
 
 def build_condition_fixture(tmp_path, by_snr, method, utts_per_condition=100,
                             words_per_utt=10):
@@ -279,6 +294,28 @@ class TestScore:
         assert proc.returncode == 0, proc.stderr
         values = parse_report_values(proc.stdout)
         assert values["improvement[roi]"] == pytest.approx(28.0, abs=0.2)
+
+    def test_zero_baseline_range_has_no_improvement_line(self, tmp_path):
+        # the baseline is perfect on 50 to 0 dB, so its `high` mean is 0
+        row = [5.0] + [0.0 if c >= 0 else 20.0 for c in tables.CONDITIONS[1:]]
+        base_ref, base_hyp = build_condition_fixture(tmp_path, {"base": row}, "base")
+        baseline_report = tmp_path / "a.report"
+        assert run_cli("score", "--ref", str(base_ref), "--hyp", str(base_hyp),
+                       "--by-condition", "--out",
+                       str(baseline_report)).returncode == 0
+        ref, hyp = build_condition_fixture(tmp_path, tables.PINK_BY_SNR,
+                                           "gauss_pem")
+        out = tmp_path / "b.report"
+        proc = run_cli("score", "--ref", str(ref), "--hyp", str(hyp),
+                       "--by-condition", "--baseline", str(baseline_report),
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == proc.stdout
+        values = parse_report_values(proc.stdout)
+        assert values["high"] > 0.0
+        assert "improvement[high]" not in values
+        assert {"improvement[full]", "improvement[low]",
+                "improvement[roi]"} <= values.keys()
 
     def test_missing_condition_named(self, tmp_path):
         ref = tmp_path / "ref.txt"
@@ -625,6 +662,16 @@ def test_help_documents_the_clean_grid(capsys):
 def test_usage_error_exit_2():
     proc = run_cli("mix", "--in", "x.wav")  # missing required flags
     assert proc.returncode == 2
+
+
+def test_import_loads_no_process_pool():
+    # the decode workers import both on first use
+    code = ("import sys, snrtrain, snrtrain.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy():

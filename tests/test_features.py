@@ -138,6 +138,13 @@ class TestNormStats:
         x = np.random.default_rng(0).normal(size=(4, FEATURE_DIM))
         np.testing.assert_array_equal(normalize(x, stats), x)
 
+    @pytest.mark.parametrize("field,value", [("mean", np.inf), ("std", np.nan)])
+    def test_non_finite_stats_rejected(self, field, value):
+        arrays = {"mean": np.zeros(FEATURE_DIM), "std": np.ones(FEATURE_DIM)}
+        arrays[field][3] = value
+        with pytest.raises(DataError, match="non-finite"):
+            NormStats(arrays["mean"], arrays["std"], 1)
+
     def test_per_utterance_mode(self):
         x = np.random.default_rng(1).normal(3.0, 2.0, size=(40, FEATURE_DIM))
         out = normalize_per_utterance(x)
@@ -215,6 +222,14 @@ class TestFeatureFile:
         back = read_norm_stats(path)
         np.testing.assert_allclose(back.mean, stats.mean, atol=1e-6)
         np.testing.assert_allclose(back.std, stats.std, rtol=1e-6)
+
+    def test_non_finite_stats_file_names_the_file(self, tmp_path):
+        rows = np.stack([np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM)])
+        rows[0, 3], rows[1, 5] = np.inf, np.nan
+        path = tmp_path / "stats.feat"
+        write_feature_file(path, rows)
+        with pytest.raises(DataError, match="stats.feat: .*non-finite"):
+            read_norm_stats(path)
 
 
 def test_featurize_dimension_contract():

@@ -1,7 +1,12 @@
 import builtins
 import json
+import multiprocessing
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from dataclasses import fields, replace
 
@@ -9,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import file_digests, watch_generation
-from snrtrain import features, pem, trainer
+from snrtrain import features, pem, trainer, wer
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
 from snrtrain.errors import ComputeError, DataError
@@ -556,3 +561,199 @@ def test_evaluation_render_error_names_the_utterance(tiny_setup, tiny_model,
         evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
                                tiny_model.stats, dev_corpus + (SHORT_DEV,),
                                pool, condition, eval_seed=1)
+
+
+# --- decode workers -------------------------------------------------------
+
+
+def two_cpus(monkeypatch, cpus=2):
+    """Make evaluate_condition_wer see `cpus` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def worker_pids() -> set:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def running(pid: int) -> bool:
+    """Whether pid is a live process (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.fixture
+def no_workers():
+    trainer._stop_decode_workers()
+    yield
+    trainer._stop_decode_workers()
+
+
+@pytest.fixture(scope="module")
+def test_corpus():
+    return make_corpus(TASK, 33, seed=23, id_prefix="test")
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 16])
+@pytest.mark.parametrize("size", [1, 16, 17, 33])
+def test_worker_table_equals_serial(tiny_setup, tiny_model, test_corpus,
+                                    monkeypatch, no_workers, size, batch_size):
+    pool = tiny_setup[2]
+    corpus = test_corpus[:size]
+
+    def table():
+        return [evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                                       tiny_model.stats, corpus, pool, c,
+                                       eval_seed=3, batch_size=batch_size)
+                for c in wer.CONDITIONS]
+
+    two_cpus(monkeypatch, cpus=1)
+    serial = table()
+    assert not worker_pids()
+    two_cpus(monkeypatch)
+    assert table() == serial
+    assert len(worker_pids()) == (2 if size > batch_size else 0)
+
+
+def test_render_error_in_the_second_worker_names_the_utterance(
+        tiny_setup, tiny_model, monkeypatch, no_workers):
+    _, dev_corpus, pool = tiny_setup
+    two_cpus(monkeypatch)
+    # 7 utterances in batches of 2: the workers take items 0-3 and 4-6
+    with pytest.raises(DataError, match="'devshort'.*shorter than one"):
+        evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                               tiny_model.stats, dev_corpus + (SHORT_DEV,),
+                               pool, -10.0, eval_seed=1, batch_size=2)
+    assert len(worker_pids()) == 2
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "one_batch", "no_blas_setter",
+                                  "in_a_worker"])
+def test_serial_fallbacks_start_no_process(tiny_setup, tiny_model, monkeypatch,
+                                           no_workers, case):
+    _, dev_corpus, pool = tiny_setup
+    batch_size = 16 if case == "one_batch" else 2
+    two_cpus(monkeypatch, cpus=1 if case == "one_cpu" else 2)
+    if case == "no_blas_setter":
+        monkeypatch.setattr(trainer, "_blas_thread_setter", lambda: None)
+
+    def evaluate():
+        return evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                                      tiny_model.stats, dev_corpus, pool, -10.0,
+                                      eval_seed=1, batch_size=batch_size)
+
+    if case != "in_a_worker":
+        assert evaluate() == PINNED_CONDITION_WERS[-10.0]
+        assert trainer._workers is None and not worker_pids()
+        return
+    reader, writer = multiprocessing.Pipe(duplex=False)
+
+    def child():
+        writer.send((evaluate(), trainer._workers is None, worker_pids()))
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    assert reader.poll(60)
+    result = reader.recv()
+    process.join(60)
+    assert not process.is_alive()
+    assert result == (PINNED_CONDITION_WERS[-10.0], True, set())
+
+
+def test_workers_are_kept_for_the_same_corpus_and_pool(tiny_setup, tiny_model,
+                                                       monkeypatch, no_workers):
+    _, dev_corpus, pool = tiny_setup
+    two_cpus(monkeypatch)
+
+    def evaluate(pool):
+        return evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                                      tiny_model.stats, dev_corpus, pool, -10.0,
+                                      eval_seed=1, batch_size=2)
+
+    assert evaluate(pool) == PINNED_CONDITION_WERS[-10.0]
+    first = worker_pids()
+    assert len(first) == 2
+    assert evaluate(pool) == PINNED_CONDITION_WERS[-10.0]
+    assert worker_pids() == first
+    assert evaluate(NoisePool(pool.noise, pool.pool_id)) == PINNED_CONDITION_WERS[-10.0]
+    second = worker_pids()
+    assert len(second) == 2 and not second & first
+
+
+def test_dead_worker_is_a_compute_error_and_the_next_call_starts_afresh(
+        tiny_setup, tiny_model, monkeypatch, no_workers):
+    _, dev_corpus, pool = tiny_setup
+    two_cpus(monkeypatch)
+
+    def evaluate():
+        return evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                                      tiny_model.stats, dev_corpus, pool, -10.0,
+                                      eval_seed=1, batch_size=2)
+
+    evaluate()
+    first = worker_pids()
+    victim = min(first)
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while running(victim) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with pytest.raises(ComputeError, match="decode worker died .*condition -10"):
+        evaluate()
+    assert trainer._workers is None
+    assert evaluate() == PINNED_CONDITION_WERS[-10.0]
+    assert len(worker_pids()) == 2 and not worker_pids() & first
+
+
+# One evaluation on two decode workers; "forever" repeats it until killed.
+WORKER_SCRIPT = """
+import multiprocessing, os, sys
+import numpy as np
+from snrtrain import trainer
+from snrtrain.audio import NoisePool
+from snrtrain.features import NormStats
+from snrtrain.model import ModelConfig, RecurrentCtcModel
+from snrtrain.noise import pink_pool_waveform
+from snrtrain.task import SyntheticTask, make_corpus
+
+os.sched_getaffinity = lambda pid: {0, 1}
+task = SyntheticTask()
+corpus = make_corpus(task, 4, seed=1)
+alphabet = trainer.alphabet_from_corpora(corpus)
+model = RecurrentCtcModel(ModelConfig(alphabet.num_outputs, hidden_size=8))
+stats = NormStats(np.zeros(123), np.ones(123), 1)
+pool = NoisePool(pink_pool_waveform(2.0, task.sample_rate_hz, seed=1))
+evaluate = lambda: trainer.evaluate_condition_wer(
+    model, alphabet, stats, corpus, pool, -5.0, 1, batch_size=2)
+evaluate()
+print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+while sys.argv[1] == "forever":
+    evaluate()
+"""
+
+
+def test_workers_end_with_a_normal_exit():
+    proc = subprocess.run([sys.executable, "-c", WORKER_SCRIPT, "once"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    pids = [int(p) for p in proc.stdout.split()]
+    assert len(pids) == 2
+    assert not any(running(pid) for pid in pids)
+
+
+def test_workers_end_when_the_parent_is_killed():
+    proc = subprocess.Popen([sys.executable, "-c", WORKER_SCRIPT, "forever"],
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(p) for p in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(running(pid) for pid in pids)
