@@ -8,8 +8,10 @@ blake2b(master_seed, "epoch", epoch_index, "utt", utterance_id), so any item
 regenerates independently of scheduling, and a manifest records every
 choice. generate_epoch makes every epoch; given no stats (a fresh run's
 epoch 0), it fits them on the epoch's own raw features, so that epoch too
-is rendered once. The trainer frees each epoch's EpochData before it
-generates the next, so one epoch's features at most are live.
+is rendered once. The trainer frees each epoch's EpochData before it takes
+the next, so it holds one epoch's features at a time. With worker processes
+it calls generate_epoch in a worker, which renders the next epoch while the
+current one trains (see trainer.train).
 
 draw_and_render is the one draw -> mix -> featurize path: epoch items,
 the trainer's dev set and test-condition evaluation all go through it,
@@ -75,7 +77,9 @@ def feature_checksum(values: np.ndarray) -> str:
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
-@dataclass(frozen=True)
+# slots: a run keeps every record, and records unpickled from a worker
+# would otherwise each carry a full instance dict
+@dataclass(frozen=True, slots=True)
 class ManifestRecord:
     utt_id: str
     noise_offset: int

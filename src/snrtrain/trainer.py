@@ -1,29 +1,37 @@
 """Training loop: per-epoch data regeneration, CTC/Adam updates, dev-WER
 monitoring, patience-driven stage switching, and resumable state.
 
-train runs one plain loop over epochs: generate the epoch with
-pem.generate_epoch, train its batches, decode the dev set, advance the
-stage controller and save the state. Each epoch's data is freed before the
-next epoch is generated. Every source of randomness (segment offsets, SNR
-draws, feature injection, batch shuffling, dropout masks, dev-set mixing)
-is derived from the master seed by hashing, so reruns and resumed runs
-reproduce training logs bit for bit. evaluate_condition_wer decodes a test
-condition on forked worker processes where that pays (see _decode_workers).
+train runs one loop over epochs: get the epoch from pem.generate_epoch,
+train its batches, free it, decode the dev set, advance the stage controller
+and save the state. Where _decode_workers gives forked worker processes,
+they call pem.generate_epoch and hand each epoch over in shared memory: one
+renders epoch N+1 in epoch N's stage while the parent trains epoch N. The
+parent uses that epoch if its EpochConfig is still the one wanted (no stage
+switch came between) and waits for a render in the new stage otherwise.
+Either way the parent holds one epoch at a time. Every source of
+randomness (segment offsets, SNR draws, feature injection, batch shuffling,
+dropout masks, dev-set mixing) is derived from the master seed by hashing,
+so reruns, resumed runs and the worker and serial paths reproduce training
+logs bit for bit. evaluate_condition_wer decodes a test condition on the
+same workers.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import functools
 import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import weakref
 import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +40,8 @@ from .audio import NoisePool
 from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Decision, Schedule, StageController
 from .errors import ComputeError, DataError, write_atomic
-from .features import NormStats, normalize, write_norm_stats
+from .features import (FEATURE_DIM, NormStats, frame_sizes, normalize,
+                       write_norm_stats)
 from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng
 from .wer import corpus_wer, format_condition
@@ -164,23 +173,18 @@ def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
                             seed_parts, batch_size)
     else:
         from concurrent.futures import wait
-        from concurrent.futures.process import BrokenProcessPool
-        executor, parts = workers[:2]
+        parts = workers.count
         bounds = [min(len(corpus), batches * k // parts * batch_size)
                   for k in range(parts + 1)]
         hyps = {}
-        try:
-            futures = [executor.submit(
+        with _worker_death(f"evaluating condition {format_condition(condition)}"):
+            futures = [workers.executor.submit(
                 _worker_decode, model.config, model.params, alphabet, stats,
                 condition, seed_parts, batch_size, start, stop)
                 for start, stop in zip(bounds, bounds[1:])]
             wait(futures)  # no part is left running when one raises
             for future in futures:
                 hyps.update(future.result())
-        except BrokenProcessPool:
-            _stop_decode_workers()
-            raise ComputeError(f"a decode worker died evaluating condition "
-                               f"{format_condition(condition)}") from None
     refs = {u.utt_id: u.words for u in corpus}
     return corpus_wer(refs, hyps)
 
@@ -191,70 +195,149 @@ def _decode_part(model, alphabet, stats, corpus, pool, condition, seed_parts,
     return decode_utterances(model, alphabet, pairs, batch_size)
 
 
+class _EpochSlots:
+    """Two anonymous shared memory maps, each sized for one epoch of a
+    corpus: its float32 feature matrices end to end in corpus order. A
+    worker renders the next epoch into one slot while the parent trains
+    from the other."""
+
+    def __init__(self, corpus):
+        self.layout = []  # (utterance id, first value, frames)
+        size = 0
+        for u in corpus:
+            win, hop = frame_sizes(u.waveform.sample_rate_hz)
+            # no frames for an utterance shorter than one: its render raises
+            frames = max(0, 1 + (len(u.waveform) - win) // hop)
+            self.layout.append((u.utt_id, size, frames))
+            size += frames * FEATURE_DIM
+        self.size = size
+        self.maps = [mmap.mmap(-1, max(1, 4 * size)) for _ in range(2)]
+
+    def features(self, slot: int, writeable: bool = False) -> dict:
+        """Each utterance id's (frames, FEATURE_DIM) view into the slot."""
+        values = np.ndarray((self.size,), np.float32, buffer=self.maps[slot])
+        values.flags.writeable = writeable
+        return {utt_id: values[start : start + frames * FEATURE_DIM].reshape(
+                    frames, FEATURE_DIM)
+                for utt_id, start, frames in self.layout}
+
+    def release(self, slot: int) -> None:
+        """Drop this process's pages of the slot; the shared data stays."""
+        self.maps[slot].madvise(mmap.MADV_DONTNEED)
+
+
+class _Workers(NamedTuple):
+    executor: object  # a fork-context ProcessPoolExecutor
+    count: int
+    corpus: tuple  # a weakref to each utterance of the corpus they hold
+    pool: weakref.ref
+    slots: _EpochSlots
+    restore_blas: object  # sets the parent's OpenBLAS threads back
+
+    def hold(self, corpus, pool) -> bool:
+        return self.pool() is pool and len(self.corpus) == len(corpus) and \
+            all(ref() is u for ref, u in zip(self.corpus, corpus))
+
+
 _workers = None  # see _decode_workers
-_worker_data = None  # (corpus, pool), in a decode worker
+_fork_data = None  # (corpus, pool, slots), set only while the workers fork
+_worker_data = None  # (corpus, pool, slots), in a worker
 
 
 @functools.cache
-def _blas_thread_setter():
-    """The set_num_threads function of numpy's bundled OpenBLAS, or None."""
+def _openblas():
+    """(get_num_threads, set_num_threads) of numpy's bundled OpenBLAS, or
+    None."""
     import ctypes
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
         for suffix in ("64_", ""):
+            getter = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
             setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-            if setter is not None:
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
+                return getter, setter
     return None
 
 
-def _decode_workers(corpus, pool, batches: int):
-    """The live (executor, worker count, corpus, pool): a fork-context pool
-    of min(CPUs, batches) decode workers holding corpus and pool, kept for
-    later calls with the same two objects. None where the serial path runs
+def _blas_thread_setter():
+    """The set_num_threads function of numpy's bundled OpenBLAS, or None."""
+    functions = _openblas()
+    return functions and functions[1]
+
+
+def _decode_workers(corpus, pool, batches: int) -> _Workers | None:
+    """A fork-context pool of min(CPUs, batches) worker processes holding
+    corpus, pool and two _EpochSlots for the corpus, kept for later calls
+    with the same pool object and utterance objects. The workers decode test
+    conditions and render training epochs. While they live, the parent's
+    OpenBLAS is pinned to one thread. None where the serial path runs
     instead: one CPU, fewer than 2 batches, no OpenBLAS thread setter
     (unpinned workers are slower than serial), or a call made inside a
     worker process."""
-    global _workers
+    global _workers, _fork_data
     count = min(len(os.sched_getaffinity(0)), batches)
     if count < 2 or _blas_thread_setter() is None:
         return None
     import multiprocessing
     if multiprocessing.parent_process() is not None:
         return None
-    if _workers is not None and _workers[1] == count \
-            and _workers[2] is corpus and _workers[3] is pool:
+    if _workers is not None and _workers.count == count and _workers.hold(corpus, pool):
         return _workers
     _stop_decode_workers()
     from concurrent.futures import ProcessPoolExecutor
-    executor = ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
-                                   initializer=_start_worker,
-                                   initargs=(corpus, pool))
-    _workers = (executor, count, corpus, pool)
+    getter, setter = _openblas()
+    _workers = _Workers(
+        ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
+                            initializer=_start_worker),
+        count, tuple(weakref.ref(u) for u in corpus), weakref.ref(pool),
+        _EpochSlots(corpus), functools.partial(setter, getter()))
+    setter(1)
+    # only weak references are kept: with the fork context the first submit
+    # forks every worker, and each takes corpus and pool from _fork_data
+    _fork_data = (corpus, pool, _workers.slots)
+    try:
+        with _worker_death("starting"):
+            _workers.executor.submit(int).result()
+    finally:
+        _fork_data = None
     return _workers
 
 
 def _stop_decode_workers() -> None:
     global _workers
     if _workers is not None:
-        _workers[0].shutdown()
-        _workers = None
+        workers, _workers = _workers, None
+        workers.executor.shutdown()
+        workers.restore_blas()
 
 
 # an executor still alive at interpreter teardown prints an ignored exception
 atexit.register(_stop_decode_workers)
 
 
-def _start_worker(corpus, pool) -> None:
-    """Keep the forked corpus and pool, pin OpenBLAS to one thread and exit
-    when the parent process ends, however it ends."""
+@contextlib.contextmanager
+def _worker_death(doing: str):
+    """Turn a dead worker into a ComputeError naming what it was doing; the
+    workers are stopped, so the next call forks fresh ones."""
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        yield
+    except BrokenProcessPool:
+        _stop_decode_workers()
+        raise ComputeError(f"a decode worker died {doing}") from None
+
+
+def _start_worker() -> None:
+    """Keep the forked corpus, pool and slots, pin OpenBLAS to one thread
+    and exit when the parent process ends, however it ends."""
     import multiprocessing
     import threading
     from multiprocessing.connection import wait
 
     global _worker_data
-    _worker_data = (corpus, pool)
+    _worker_data = _fork_data
     _blas_thread_setter()(1)
 
     def exit_with_parent():
@@ -266,11 +349,39 @@ def _start_worker(corpus, pool) -> None:
 
 def _worker_decode(model_config, params, alphabet, stats, condition,
                    seed_parts, batch_size, start, stop) -> dict:
-    corpus, pool = _worker_data
+    corpus, pool, _ = _worker_data
     model = RecurrentCtcModel(model_config)
     model.set_params(params)
     return _decode_part(model, alphabet, stats, corpus[start:stop], pool,
                         condition, seed_parts, batch_size)
+
+
+def _worker_render(cfg: pem.EpochConfig, stats: NormStats | None, slot: int):
+    """Render one epoch of the worker's corpus into a slot; returns only its
+    manifest and stats."""
+    corpus, pool, slots = _worker_data
+    data = pem.generate_epoch(cfg, corpus, pool, stats)
+    views = slots.features(slot, writeable=True)
+    for utt_id, feats in data.features.items():
+        views[utt_id][...] = feats
+    return data.manifest, data.stats
+
+
+def _submit_epoch(workers: _Workers, cfg: pem.EpochConfig, stats: NormStats | None):
+    """Have a worker render cfg's epoch into slot epoch_index % 2, so two
+    epochs in a row use two slots; returns (cfg, its future)."""
+    with _worker_death(f"rendering epoch {cfg.epoch_index}"):
+        return cfg, workers.executor.submit(_worker_render, cfg, stats,
+                                            cfg.epoch_index % 2)
+
+
+def _take_epoch(workers: _Workers, pending) -> pem.EpochData:
+    """A submitted epoch as EpochData over views into its slot."""
+    cfg, future = pending
+    with _worker_death(f"rendering epoch {cfg.epoch_index}"):
+        manifest, stats = future.result()
+    return pem.EpochData(manifest, workers.slots.features(cfg.epoch_index % 2),
+                         stats)
 
 
 def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
@@ -324,44 +435,76 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     epoch_refs: list = []  # a weakref to each epoch generated
     max_live = 0
     epochs_run = 0
+    # one worker renders while the parent trains: two processes are all
+    # that training uses
+    workers = _decode_workers(train_corpus, pool,
+                              min(2, -(-len(train_corpus) // config.batch_size)))
+    end = schedule.resolved_max_epochs  # no epoch from end on is rendered
+    if stop_after is not None:
+        end = min(end, controller.epoch_counter + stop_after)
+    pending = None  # (EpochConfig, future) of the epoch a worker renders
 
     def terminated():
         return bool(controller.records) and \
             controller.records[-1].decision is Decision.TERMINATE
 
-    while not terminated() and epochs_run != stop_after:
-        epoch_index = controller.epoch_counter
-        # a fresh run has no stats yet: its epoch 0 fits them
-        data = pem.generate_epoch(epoch_config(epoch_index, controller.stage_set),
-                                  train_corpus, pool, state.stats)
-        epoch_refs.append(weakref.ref(data))
-        max_live = max(max_live, sum(ref() is not None for ref in epoch_refs))
-        state.stats = data.stats
-        state.train_losses.append(_train_epoch(
-            model, state.adam, config, train_corpus, encoded, epoch_index,
-            data.features))
-        manifests.append(data.manifest)
-        del data  # freed before the dev decode and the next epoch
+    try:
+        while not terminated() and epochs_run != stop_after:
+            epoch_index = controller.epoch_counter
+            cfg = epoch_config(epoch_index, controller.stage_set)
+            # a fresh run has no stats yet: its epoch 0 fits them
+            if workers is None:
+                data = pem.generate_epoch(cfg, train_corpus, pool, state.stats)
+            else:
+                if pending is not None and pending[0] != cfg:
+                    # made before a stage switch: it ends before the next
+                    # submit, so two tasks never write one slot
+                    from concurrent.futures import wait
+                    wait([pending[1]])
+                    pending = None
+                if pending is None:
+                    pending = _submit_epoch(workers, cfg, state.stats)
+                data = _take_epoch(workers, pending)
+                pending = None
+            epoch_refs.append(weakref.ref(data))
+            max_live = max(max_live, sum(ref() is not None for ref in epoch_refs))
+            state.stats = data.stats
+            if workers is not None and epoch_index + 1 < end:
+                # a worker renders the next epoch in this stage meanwhile;
+                # the stats never change once fit
+                pending = _submit_epoch(workers, epoch_config(
+                    epoch_index + 1, controller.stage_set), state.stats)
+            state.train_losses.append(_train_epoch(
+                model, state.adam, config, train_corpus, encoded, epoch_index,
+                data.features))
+            manifests.append(data.manifest)
+            del data  # freed before the dev decode and the next epoch
+            if workers is not None:
+                workers.slots.release(epoch_index % 2)
 
-        stage_index = controller.stage_index
-        if dev[0] != stage_index:
-            dev = (stage_index, _mixed_pairs(
-                dev_corpus, pool, state.stats, controller.stage_set,
-                config.master_seed, "dev", stage_index))
-        hyps = decode_utterances(model, alphabet, dev[1], config.batch_size)
-        decision = controller.advance(corpus_wer(dev_refs, hyps),
-                                      (model.copy_params(), model.param_hash()))
-        if decision is not Decision.CONTINUE:
-            params, best_hash = controller.best_checkpoint
-            model.set_params(params)
-            state.switch_records.append(SwitchRecord(
-                controller.epoch_counter, best_hash, model.param_hash()))
+            stage_index = controller.stage_index
+            if dev[0] != stage_index:
+                dev = (stage_index, _mixed_pairs(
+                    dev_corpus, pool, state.stats, controller.stage_set,
+                    config.master_seed, "dev", stage_index))
+            hyps = decode_utterances(model, alphabet, dev[1], config.batch_size)
+            decision = controller.advance(corpus_wer(dev_refs, hyps),
+                                          (model.copy_params(), model.param_hash()))
+            if decision is not Decision.CONTINUE:
+                params, best_hash = controller.best_checkpoint
+                model.set_params(params)
+                state.switch_records.append(SwitchRecord(
+                    controller.epoch_counter, best_hash, model.param_hash()))
 
-        if out_dir is not None:
-            manifests[-1].write(os.path.join(
-                out_dir, "manifests", f"epoch_{epoch_index:04d}.manifest"))
-            _save_state(out_dir, fingerprint, state)
-        epochs_run += 1
+            if out_dir is not None:
+                manifests[-1].write(os.path.join(
+                    out_dir, "manifests", f"epoch_{epoch_index:04d}.manifest"))
+                _save_state(out_dir, fingerprint, state)
+            epochs_run += 1
+    finally:
+        if pending is not None:  # no task outlives the call
+            from concurrent.futures import wait
+            wait([pending[1]])
 
     records = controller.records
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"

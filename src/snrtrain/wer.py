@@ -137,6 +137,8 @@ def condition_of_id(utt_id: str):
 
 def corpus_wer(refs: Mapping, hyps: Mapping) -> float:
     """Pooled WER: total edits over total reference words, as a percent."""
+    if not refs:
+        raise DataError("no reference utterances to score")
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise DataError(f"hypotheses missing for utterances: {missing}")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,8 @@ class TestPipelineRun:
         dev_corpus = make_corpus(task, 4, seed=4, id_prefix="dev")
         patch = pytest.MonkeyPatch()
         try:
+            # one CPU: the serial path, where the generation is watched
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             made = watch_generation(patch)
             result = train(corpus, dev_corpus,
                            Schedule("multicondition", patience=2, max_epochs=1),

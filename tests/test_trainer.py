@@ -1,4 +1,5 @@
 import builtins
+import gc
 import json
 import multiprocessing
 import os
@@ -47,6 +48,12 @@ def tiny_model(tiny_setup):
     train_corpus, dev_corpus, pool = tiny_setup
     schedule = Schedule("multicondition", patience=2, max_epochs=3)
     return train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+
+
+def two_cpus(monkeypatch, cpus=2):
+    """Make train and evaluate_condition_wer see `cpus` CPUs, whatever the
+    machine has: with one, they take the serial path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def test_alphabet_is_sorted_and_shared():
@@ -268,19 +275,11 @@ def crash_at_write(patch, run_dir, n) -> list:
     return calls
 
 
-@pytest.mark.parametrize("stopped_first", [False, True])
-def test_crash_at_every_write_resumes_into_the_uninterrupted_files(
-        tiny_setup, tmp_path, monkeypatch, stopped_first):
-    train_corpus, dev_corpus, pool = tiny_setup
-    schedule = Schedule("accan", patience=1, max_epochs=5)
-
-    def run(out_dir, **kwargs):
-        return train(train_corpus, dev_corpus, schedule, pool,
-                     tiny_config(master_seed=5), out_dir=out_dir, **kwargs)
-
-    full_dir = tmp_path / "full"
-    full = run(full_dir)
-    assert [r.epoch for r in full.switch_records] == [2, 5]
+def sweep_crashes(run, tmp_path, monkeypatch, full_dir, full, stopped_first):
+    """Crash run (a train call into the directory it is given) at each of its
+    writes in turn and resume it; each resumed directory must equal full_dir.
+    With stopped_first, each crashed call resumes a run stopped after 2
+    epochs."""
     start_dir = tmp_path / "start"
     if stopped_first:
         assert run(start_dir, stop_after=2).status == "stopped"
@@ -311,6 +310,29 @@ def test_crash_at_every_write_resumes_into_the_uninterrupted_files(
     written = {os.path.basename(path).removesuffix(".tmp") for path in calls}
     assert written >= {"stats.feat", "train_log.tsv", "stage_log.tsv",
                        "final.ckpt", "state.npz", "epoch_0004.manifest"}
+
+
+def crash_sweep_run(tiny_setup):
+    """The run the crash sweeps crash: accan at patience 1, which switches
+    at epochs 2 and 5, into the directory it is given."""
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("accan", patience=1, max_epochs=5)
+
+    def run(out_dir, **kwargs):
+        return train(train_corpus, dev_corpus, schedule, pool,
+                     tiny_config(master_seed=5), out_dir=out_dir, **kwargs)
+
+    return run
+
+
+@pytest.mark.parametrize("stopped_first", [False, True])
+def test_crash_at_every_write_resumes_into_the_uninterrupted_files(
+        tiny_setup, tmp_path, monkeypatch, stopped_first):
+    run = crash_sweep_run(tiny_setup)
+    full_dir = tmp_path / "full"
+    full = run(full_dir)
+    assert [r.epoch for r in full.switch_records] == [2, 5]
+    sweep_crashes(run, tmp_path, monkeypatch, full_dir, full, stopped_first)
 
 
 def test_resume_rejects_changed_config(tiny_setup, tmp_path):
@@ -417,6 +439,7 @@ def test_evaluate_condition_wer_is_pinned(tiny_setup, tiny_model, condition):
 
 def test_fresh_run_renders_each_trained_epoch_once(tiny_setup, monkeypatch,
                                                    tmp_path):
+    two_cpus(monkeypatch, cpus=1)  # the serial path: every render is counted here
     train_corpus, dev_corpus, pool = tiny_setup
     calls = []
     featurize = features.featurize_waveform
@@ -472,6 +495,7 @@ def test_only_the_current_stage_dev_set_is_kept(tiny_setup, monkeypatch):
 
 def test_each_epoch_is_freed_before_the_next_is_generated(tiny_setup, monkeypatch,
                                                           tmp_path):
+    two_cpus(monkeypatch, cpus=1)
     train_corpus, dev_corpus, pool = tiny_setup
     made = watch_generation(monkeypatch)
     schedule = Schedule("accan", patience=1, max_epochs=5)
@@ -489,6 +513,7 @@ def test_each_epoch_is_freed_before_the_next_is_generated(tiny_setup, monkeypatc
 
 
 def test_epoch_after_a_switch_draws_from_the_wider_stage(tiny_setup, monkeypatch):
+    two_cpus(monkeypatch, cpus=1)
     train_corpus, dev_corpus, pool = tiny_setup
     made = watch_generation(monkeypatch)
     schedule = Schedule("accan", patience=1, max_epochs=5)
@@ -503,6 +528,7 @@ def test_epoch_after_a_switch_draws_from_the_wider_stage(tiny_setup, monkeypatch
 
 
 def test_stop_after_generates_exactly_that_many_epochs(tiny_setup, monkeypatch):
+    two_cpus(monkeypatch, cpus=1)
     train_corpus, dev_corpus, pool = tiny_setup
     made = watch_generation(monkeypatch)
     schedule = Schedule("multicondition", patience=10, max_epochs=8)
@@ -514,6 +540,7 @@ def test_stop_after_generates_exactly_that_many_epochs(tiny_setup, monkeypatch):
 
 def test_generation_failure_resumes_into_the_uninterrupted_files(
         tiny_setup, tmp_path, monkeypatch):
+    two_cpus(monkeypatch, cpus=1)
     train_corpus, dev_corpus, pool = tiny_setup
     schedule = Schedule("multicondition", patience=2, max_epochs=3)
     full_dir = tmp_path / "full"
@@ -564,11 +591,6 @@ def test_evaluation_render_error_names_the_utterance(tiny_setup, tiny_model,
 
 
 # --- decode workers -------------------------------------------------------
-
-
-def two_cpus(monkeypatch, cpus=2):
-    """Make evaluate_condition_wer see `cpus` CPUs, whatever the machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def worker_pids() -> set:
@@ -757,3 +779,202 @@ def test_workers_end_when_the_parent_is_killed():
     while any(running(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(running(pid) for pid in pids)
+
+
+# --- training epochs rendered on the workers --------------------------------
+
+
+def blas_threads() -> int:
+    return trainer._openblas()[0]()
+
+
+def no_task_pending() -> bool:
+    return not trainer._workers.executor._pending_work_items
+
+
+def log_renders(patch, path) -> None:
+    """Wrap pem.generate_epoch so that each call, in this process or in a
+    worker forked after this, appends "<pid> <epoch index> <stage size>" to
+    path."""
+    generate = pem.generate_epoch
+
+    def logging_generate(cfg, corpus, pool, stats=None):
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()} {cfg.epoch_index} {len(cfg.stage_snr_set)}\n")
+        return generate(cfg, corpus, pool, stats)
+
+    patch.setattr(pem, "generate_epoch", logging_generate)
+
+
+def renders(path) -> list:
+    """(pid, epoch index, stage size) of each logged render, in order."""
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", ["multicondition", "accan", "stop_and_resume",
+                                  "worker_data_error"])
+def test_worker_path_equals_serial(tiny_setup, tmp_path, monkeypatch, no_workers,
+                                   case):
+    train_corpus, dev_corpus, pool = tiny_setup
+    # accan at patience 1 switches at epochs 2 and 5, so a speculated epoch
+    # is discarded
+    schedule = Schedule("accan", patience=1, max_epochs=5) if case == "accan" \
+        else Schedule("multicondition", patience=2, max_epochs=4)
+    generate = pem.generate_epoch
+
+    def failing_generate(cfg, corpus, pool, stats=None):
+        if cfg.epoch_index == 1:
+            raise DataError(f"injected failure in {os.getpid()}")
+        return generate(cfg, corpus, pool, stats)
+
+    def run(out_dir, **kwargs):
+        return train(train_corpus, dev_corpus, schedule, pool,
+                     tiny_config(master_seed=5), out_dir=out_dir, **kwargs)
+
+    def outcome(cpus):
+        two_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        if case == "stop_and_resume":
+            assert run(out_dir, stop_after=2).status == "stopped"
+        elif case == "worker_data_error":
+            with monkeypatch.context() as patch:
+                patch.setattr(pem, "generate_epoch", failing_generate)
+                with pytest.raises(DataError, match="injected failure") as err:
+                    run(out_dir)
+            in_a_worker = str(err.value) != f"injected failure in {os.getpid()}"
+            assert in_a_worker == (cpus == 2)
+            # its workers were forked with the failing generate_epoch
+            trainer._stop_decode_workers()
+            assert [p.name for p in (out_dir / "manifests").iterdir()] == \
+                ["epoch_0000.manifest"]
+        result = run(out_dir)
+        assert (trainer._workers is not None) == (cpus == 2)
+        if cpus == 2:
+            assert no_task_pending()
+        return (result.log_lines, result.best_hash,
+                [m.to_text() for m in result.manifests], file_digests(out_dir))
+
+    threads = blas_threads()
+    serial = outcome(1)
+    assert trainer._workers is None and blas_threads() == threads
+    assert outcome(2) == serial
+    assert len(worker_pids()) == 2 and blas_threads() == 1
+    trainer._stop_decode_workers()
+    assert blas_threads() == threads
+
+
+@pytest.mark.parametrize("stopped_first", [False, True])
+def test_worker_crash_at_every_write_resumes_into_the_serial_files(
+        tiny_setup, tmp_path, monkeypatch, stopped_first):
+    run = crash_sweep_run(tiny_setup)
+    two_cpus(monkeypatch, cpus=1)
+    serial_dir = tmp_path / "serial"
+    serial = run(serial_dir)
+    two_cpus(monkeypatch)
+
+    def checked_run(out_dir, **kwargs):
+        try:
+            return run(out_dir, **kwargs)
+        finally:
+            assert no_task_pending()
+
+    sweep_crashes(checked_run, tmp_path, monkeypatch, serial_dir, serial,
+                  stopped_first)
+
+
+def test_workers_render_each_trained_epoch_once_and_none_past_the_end(
+        tiny_setup, tmp_path, monkeypatch, no_workers):
+    train_corpus, dev_corpus, pool = tiny_setup
+    two_cpus(monkeypatch)
+    log = tmp_path / "renders"
+    log_renders(monkeypatch, log)
+
+    def run(schedule, **kwargs):
+        log.write_text("")
+        result = train(train_corpus, dev_corpus, schedule, pool,
+                       tiny_config(master_seed=5), **kwargs)
+        assert no_task_pending()
+        made = renders(log)
+        assert os.getpid() not in {pid for pid, _, _ in made}
+        return result, [(epoch, size) for _, epoch, size in made]
+
+    # the workers render every epoch; epoch 2, made in stage 0 before the
+    # switch to stage 1, is rendered again; epoch 4 is the last (max_epochs 5)
+    accan = Schedule("accan", patience=1, max_epochs=5)
+    result, made = run(accan)
+    assert [r.epoch for r in result.switch_records] == [2, 5]
+    assert result.max_live_epochs == 1
+    stage0, stage1 = made[0][1], made[-1][1]
+    assert stage0 < stage1
+    assert sorted(made) == sorted([(0, stage0), (1, stage0), (2, stage0),
+                                   (2, stage1), (3, stage1), (4, stage1)])
+
+    multicondition = Schedule("multicondition", patience=10, max_epochs=8)
+    result, made = run(multicondition, stop_after=3)
+    assert result.status == "stopped" and result.max_live_epochs == 1
+    assert sorted(epoch for epoch, _ in made) == [0, 1, 2]
+
+    # a resumed run renders the epochs it trains and nothing past them
+    out_dir = tmp_path / "run"
+    train(train_corpus, dev_corpus, Schedule("multicondition", patience=3,
+                                             max_epochs=3),
+          pool, tiny_config(master_seed=5), out_dir=out_dir, stop_after=1)
+    result, made = run(Schedule("multicondition", patience=3, max_epochs=3),
+                       out_dir=out_dir)
+    assert result.epochs_run == 2 and result.max_live_epochs == 1
+    assert sorted(epoch for epoch, _ in made) == [1, 2]
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "no_blas_setter", "in_a_worker"])
+def test_training_serial_fallbacks_start_no_process(tiny_setup, monkeypatch,
+                                                    no_workers, case):
+    train_corpus, dev_corpus, pool = tiny_setup
+    two_cpus(monkeypatch, cpus=1 if case == "one_cpu" else 2)
+    if case == "no_blas_setter":
+        monkeypatch.setattr(trainer, "_blas_thread_setter", lambda: None)
+    made = watch_generation(monkeypatch)
+    schedule = Schedule("multicondition", patience=2, max_epochs=4)
+
+    def run():
+        result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+        return (tuple(result.log_lines), result.best_hash, len(made),
+                trainer._workers is None, worker_pids())
+
+    # the parent renders all 4 epochs itself
+    expected = (GOLDEN_RUNS["multicondition", 2, 4][1],
+                GOLDEN_RUNS["multicondition", 2, 4][0], 4, True, set())
+    if case != "in_a_worker":
+        assert run() == expected
+        return
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.get_context("fork").Process(
+        target=lambda: writer.send(run()))
+    process.start()
+    assert reader.poll(120)
+    result = reader.recv()
+    process.join(60)
+    assert not process.is_alive()
+    assert result == expected
+
+
+def test_workers_do_not_keep_the_corpus_and_pool_alive(tiny_setup, tiny_model,
+                                                       monkeypatch, no_workers):
+    two_cpus(monkeypatch)
+    corpus = make_corpus(TASK, 6, seed=22, id_prefix="dev")
+    pool = NoisePool(tiny_setup[2].noise, pool_id="pool30")
+    refs = [weakref.ref(pool), weakref.ref(corpus[0])]
+    assert evaluate_condition_wer(
+        tiny_model.model, tiny_model.alphabet, tiny_model.stats, corpus, pool,
+        -10.0, eval_seed=1, batch_size=2) == PINNED_CONDITION_WERS[-10.0]
+    pids = worker_pids()
+    del corpus, pool
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(pids) == 2 and all(running(pid) for pid in pids)
+
+
+def test_evaluation_of_an_empty_corpus_is_a_data_error(tiny_setup, tiny_model):
+    with pytest.raises(DataError, match="no reference utterances"):
+        evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
+                               tiny_model.stats, (), tiny_setup[2], -10.0,
+                               eval_seed=1)

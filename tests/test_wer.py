@@ -137,6 +137,10 @@ class TestTranscripts:
         with pytest.raises(DataError, match="u2"):
             corpus_wer({"u1": ("a",), "u2": ("b",)}, {"u1": ("a",)})
 
+    def test_no_utterances_rejected(self):
+        with pytest.raises(DataError, match="no reference utterances"):
+            corpus_wer({}, {})
+
     def test_by_condition_grouping(self):
         refs = {"u1@0": ("a", "b"), "u2@0": ("c", "d"),
                 "u1@clean": ("a", "b")}
