@@ -126,10 +126,6 @@ class StageController:
         self._stages = build_stages(self.schedule)
 
     @property
-    def num_stages(self) -> int:
-        return len(self._stages)
-
-    @property
     def stage_set(self) -> tuple:
         return self._stages[self.stage_index]
 

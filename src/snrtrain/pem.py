@@ -8,10 +8,9 @@ blake2b(master_seed, "epoch", epoch_index, "utt", utterance_id), so any item
 regenerates independently of scheduling, and a manifest records every
 choice. generate_epoch makes every epoch; given no stats (a fresh run's
 epoch 0), it fits them on the epoch's own raw features, so that epoch too
-is rendered once. The trainer frees each epoch's EpochData before it takes
-the next, so it holds one epoch's features at a time. With worker processes
-it calls generate_epoch in a worker, which renders the next epoch while the
-current one trains (see trainer.train).
+is rendered once; the trainer has it write straight into a shared slot
+(see snrtrain.workers). The trainer frees each epoch's EpochData before it
+takes the next, so it holds one epoch's features at a time.
 
 draw_and_render is the one draw -> mix -> featurize path: epoch items,
 the trainer's dev set and test-condition evaluation all go through it,
@@ -173,27 +172,31 @@ def draw_and_render(utterance, pool: NoisePool, stage_set, *seed_parts) -> tuple
         raise DataError(f"utterance {utterance.utt_id!r}: {err}") from err
 
 
-def _epoch_item(cfg: EpochConfig, utterance, stats, offset, snr, raw):
+def _epoch_item(cfg: EpochConfig, utterance, stats, offset, snr, raw, out=None):
     feats = features.normalize(raw, stats)
     seed = injection_seed(cfg.master_seed, cfg.epoch_index, utterance.utt_id)
     if cfg.gauss_sigma > 0.0:
         feats = features.inject_gaussian(feats, cfg.gauss_sigma,
                                          np.random.default_rng(seed))
-    rendered = np.ascontiguousarray(feats, dtype=np.float32)
+    out = np.empty(feats.shape, np.float32) if out is None else out
+    out[...] = feats
     record = ManifestRecord(utterance.utt_id, offset, snr, seed,
-                            feature_checksum(rendered))
-    return rendered, record
+                            feature_checksum(out))
+    return out, record
 
 
 def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool,
-                   stats: features.NormStats | None = None) -> EpochData:
+                   stats: features.NormStats | None = None,
+                   out: dict | None = None) -> EpochData:
     """Mix, featurize, normalize and (optionally) inject one whole epoch.
 
     Without stats (a fresh run's epoch 0), every item is rendered first and
     the normalization stats are fit on those raw features in corpus order;
     each raw matrix is released once it is normalized. The stats used are
-    returned on the EpochData. Fully deterministic in (master_seed,
-    epoch_index, utterance id); a render error names the utterance.
+    returned on the EpochData. Given out, each float32 matrix is written
+    into out[utt_id], a view of its shape. Fully deterministic in
+    (master_seed, epoch_index, utterance id); a render error names the
+    utterance.
     """
     def draw(utterance):
         return draw_and_render(utterance, pool, cfg.stage_snr_set,
@@ -207,7 +210,8 @@ def generate_epoch(cfg: EpochConfig, corpus, pool: NoisePool,
     records = []
     for utterance in corpus:
         feats, record = _epoch_item(cfg, utterance, stats, *(
-            raw_items.popleft() if raw_items else draw(utterance)))
+            raw_items.popleft() if raw_items else draw(utterance)),
+            None if out is None else out[utterance.utt_id])
         feature_map[utterance.utt_id] = feats
         records.append(record)
     return EpochData(EpochManifest(cfg.epoch_index, cfg.config_hash(),

@@ -1,47 +1,37 @@
 """Training loop: per-epoch data regeneration, CTC/Adam updates, dev-WER
 monitoring, patience-driven stage switching, and resumable state.
 
-train runs one loop over epochs: get the epoch from pem.generate_epoch,
-train its batches, free it, decode the dev set, advance the stage controller
-and save the state. Where _decode_workers gives forked worker processes,
-they call pem.generate_epoch and hand each epoch over in shared memory: one
-renders epoch N+1 in epoch N's stage while the parent trains epoch N. The
-parent uses that epoch if its EpochConfig is still the one wanted (no stage
-switch came between) and waits for a render in the new stage otherwise.
-Either way the parent holds one epoch at a time. Every source of
-randomness (segment offsets, SNR draws, feature injection, batch shuffling,
-dropout masks, dev-set mixing) is derived from the master seed by hashing,
-so reruns, resumed runs and the worker and serial paths reproduce training
-logs bit for bit. evaluate_condition_wer decodes a test condition on the
-same workers.
+train runs one loop over epochs: take the epoch pem.generate_epoch rendered
+into a shared slot, train its batches, free it, decode the dev set, advance
+the stage controller and save the state. Renders are tasks of
+workers.runner: a worker renders epoch N+1 in epoch N's stage while the
+parent trains epoch N (with no worker, the parent renders it when taken),
+and a stage switch in between has it rendered again in the new stage. The
+parent holds one epoch at a time. Every source of randomness is derived
+from the master seed by hashing, so reruns, resumed runs and any number of
+workers give the same logs bit for bit. evaluate_condition_wer decodes a
+test condition in parts: the parent's and one per worker.
 """
 
 from __future__ import annotations
 
-import atexit
-import contextlib
-import functools
 import hashlib
 import io
 import json
 import math
-import mmap
 import os
 import weakref
 import zipfile
 from dataclasses import dataclass, field, fields
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from . import pem
+from . import pem, workers
 from .audio import NoisePool
 from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Decision, Schedule, StageController
 from .errors import ComputeError, DataError, write_atomic
-from .features import (FEATURE_DIM, NormStats, frame_sizes, normalize,
-                       write_norm_stats)
+from .features import NormStats, normalize, write_norm_stats
 from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng
 from .wer import corpus_wer, format_condition
@@ -151,237 +141,51 @@ def _mixed_pairs(corpus, pool: NoisePool, stats: NormStats, stage_set,
                 *seed_parts) -> list:
     """(utterance, normalized features) pairs, each drawn from stage_set and
     rendered by pem.draw_and_render under seed_parts (no injection)."""
-    pairs = []
-    for u in corpus:
-        _, _, raw = pem.draw_and_render(u, pool, stage_set, *seed_parts)
-        pairs.append((u, normalize(raw, stats)))
-    return pairs
+    return [(u, normalize(pem.draw_and_render(u, pool, stage_set, *seed_parts)[2],
+                          stats)) for u in corpus]
 
 
 def evaluate_condition_wer(model, alphabet, stats, corpus, pool, condition,
                            eval_seed: int, batch_size: int = 16) -> float:
     """Pooled WER of a model on one test condition with seeded mixing.
 
-    Where _decode_workers gives worker processes, each renders and decodes
-    one contiguous run of whole decode batches and sends back only its
+    The corpus is split into workers.runner(corpus, pool, batches).count
+    contiguous runs of whole decode batches. The parent renders and decodes
+    the first while each worker does another and sends back only its
     hypotheses, so every batch and every WER is the serial path's."""
     seed_parts = (eval_seed, "eval", str(condition))
     batches = -(-len(corpus) // batch_size)
-    workers = _decode_workers(corpus, pool, batches)
-    if workers is None:
-        hyps = _decode_part(model, alphabet, stats, corpus, pool, condition,
-                            seed_parts, batch_size)
-    else:
-        from concurrent.futures import wait
-        parts = workers.count
-        bounds = [min(len(corpus), batches * k // parts * batch_size)
-                  for k in range(parts + 1)]
-        hyps = {}
-        with _worker_death(f"evaluating condition {format_condition(condition)}"):
-            futures = [workers.executor.submit(
-                _worker_decode, model.config, model.params, alphabet, stats,
-                condition, seed_parts, batch_size, start, stop)
-                for start, stop in zip(bounds, bounds[1:])]
-            wait(futures)  # no part is left running when one raises
-            for future in futures:
-                hyps.update(future.result())
-    refs = {u.utt_id: u.words for u in corpus}
-    return corpus_wer(refs, hyps)
+    runner = workers.runner(corpus, pool, batches)
+    bounds = [min(len(corpus), batches * k // runner.count * batch_size)
+              for k in range(runner.count + 1)]
+    args = (model, alphabet, stats, condition, seed_parts, batch_size)
+    tasks = [runner.submit(f"evaluating condition {format_condition(condition)}",
+                           _decode, *args, start, stop)
+             for start, stop in zip(bounds[1:], bounds[2:])]
+    try:
+        hyps = _decode(corpus, pool, runner.slots, *args, 0, bounds[1])
+        for task in tasks:
+            hyps.update(task.result())
+    finally:
+        for task in tasks:  # no part is left running when one raises
+            task.discard()
+    return corpus_wer({u.utt_id: u.words for u in corpus}, hyps)
 
 
-def _decode_part(model, alphabet, stats, corpus, pool, condition, seed_parts,
-                 batch_size) -> dict:
-    pairs = _mixed_pairs(corpus, pool, stats, (condition,), *seed_parts)
+def _decode(corpus, pool, slots, model, alphabet, stats, condition, seed_parts,
+            batch_size, start, stop) -> dict:
+    """Hypotheses for corpus[start:stop] mixed at condition."""
+    pairs = _mixed_pairs(corpus[start:stop], pool, stats, (condition,),
+                         *seed_parts)
     return decode_utterances(model, alphabet, pairs, batch_size)
 
 
-class _EpochSlots:
-    """Two anonymous shared memory maps, each sized for one epoch of a
-    corpus: its float32 feature matrices end to end in corpus order. A
-    worker renders the next epoch into one slot while the parent trains
-    from the other."""
-
-    def __init__(self, corpus):
-        self.layout = []  # (utterance id, first value, frames)
-        size = 0
-        for u in corpus:
-            win, hop = frame_sizes(u.waveform.sample_rate_hz)
-            # no frames for an utterance shorter than one: its render raises
-            frames = max(0, 1 + (len(u.waveform) - win) // hop)
-            self.layout.append((u.utt_id, size, frames))
-            size += frames * FEATURE_DIM
-        self.size = size
-        self.maps = [mmap.mmap(-1, max(1, 4 * size)) for _ in range(2)]
-
-    def features(self, slot: int, writeable: bool = False) -> dict:
-        """Each utterance id's (frames, FEATURE_DIM) view into the slot."""
-        values = np.ndarray((self.size,), np.float32, buffer=self.maps[slot])
-        values.flags.writeable = writeable
-        return {utt_id: values[start : start + frames * FEATURE_DIM].reshape(
-                    frames, FEATURE_DIM)
-                for utt_id, start, frames in self.layout}
-
-    def release(self, slot: int) -> None:
-        """Drop this process's pages of the slot; the shared data stays."""
-        self.maps[slot].madvise(mmap.MADV_DONTNEED)
-
-
-class _Workers(NamedTuple):
-    executor: object  # a fork-context ProcessPoolExecutor
-    count: int
-    corpus: tuple  # a weakref to each utterance of the corpus they hold
-    pool: weakref.ref
-    slots: _EpochSlots
-    restore_blas: object  # sets the parent's OpenBLAS threads back
-
-    def hold(self, corpus, pool) -> bool:
-        return self.pool() is pool and len(self.corpus) == len(corpus) and \
-            all(ref() is u for ref, u in zip(self.corpus, corpus))
-
-
-_workers = None  # see _decode_workers
-_fork_data = None  # (corpus, pool, slots), set only while the workers fork
-_worker_data = None  # (corpus, pool, slots), in a worker
-
-
-@functools.cache
-def _openblas():
-    """(get_num_threads, set_num_threads) of numpy's bundled OpenBLAS, or
-    None."""
-    import ctypes
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for suffix in ("64_", ""):
-            getter = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
-            setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-def _blas_thread_setter():
-    """The set_num_threads function of numpy's bundled OpenBLAS, or None."""
-    functions = _openblas()
-    return functions and functions[1]
-
-
-def _decode_workers(corpus, pool, batches: int) -> _Workers | None:
-    """A fork-context pool of min(CPUs, batches) worker processes holding
-    corpus, pool and two _EpochSlots for the corpus, kept for later calls
-    with the same pool object and utterance objects. The workers decode test
-    conditions and render training epochs. While they live, the parent's
-    OpenBLAS is pinned to one thread. None where the serial path runs
-    instead: one CPU, fewer than 2 batches, no OpenBLAS thread setter
-    (unpinned workers are slower than serial), or a call made inside a
-    worker process."""
-    global _workers, _fork_data
-    count = min(len(os.sched_getaffinity(0)), batches)
-    if count < 2 or _blas_thread_setter() is None:
-        return None
-    import multiprocessing
-    if multiprocessing.parent_process() is not None:
-        return None
-    if _workers is not None and _workers.count == count and _workers.hold(corpus, pool):
-        return _workers
-    _stop_decode_workers()
-    from concurrent.futures import ProcessPoolExecutor
-    getter, setter = _openblas()
-    _workers = _Workers(
-        ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
-                            initializer=_start_worker),
-        count, tuple(weakref.ref(u) for u in corpus), weakref.ref(pool),
-        _EpochSlots(corpus), functools.partial(setter, getter()))
-    setter(1)
-    # only weak references are kept: with the fork context the first submit
-    # forks every worker, and each takes corpus and pool from _fork_data
-    _fork_data = (corpus, pool, _workers.slots)
-    try:
-        with _worker_death("starting"):
-            _workers.executor.submit(int).result()
-    finally:
-        _fork_data = None
-    return _workers
-
-
-def _stop_decode_workers() -> None:
-    global _workers
-    if _workers is not None:
-        workers, _workers = _workers, None
-        workers.executor.shutdown()
-        workers.restore_blas()
-
-
-# an executor still alive at interpreter teardown prints an ignored exception
-atexit.register(_stop_decode_workers)
-
-
-@contextlib.contextmanager
-def _worker_death(doing: str):
-    """Turn a dead worker into a ComputeError naming what it was doing; the
-    workers are stopped, so the next call forks fresh ones."""
-    from concurrent.futures.process import BrokenProcessPool
-    try:
-        yield
-    except BrokenProcessPool:
-        _stop_decode_workers()
-        raise ComputeError(f"a decode worker died {doing}") from None
-
-
-def _start_worker() -> None:
-    """Keep the forked corpus, pool and slots, pin OpenBLAS to one thread
-    and exit when the parent process ends, however it ends."""
-    import multiprocessing
-    import threading
-    from multiprocessing.connection import wait
-
-    global _worker_data
-    _worker_data = _fork_data
-    _blas_thread_setter()(1)
-
-    def exit_with_parent():
-        wait([multiprocessing.parent_process().sentinel])
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-
-
-def _worker_decode(model_config, params, alphabet, stats, condition,
-                   seed_parts, batch_size, start, stop) -> dict:
-    corpus, pool, _ = _worker_data
-    model = RecurrentCtcModel(model_config)
-    model.set_params(params)
-    return _decode_part(model, alphabet, stats, corpus[start:stop], pool,
-                        condition, seed_parts, batch_size)
-
-
-def _worker_render(cfg: pem.EpochConfig, stats: NormStats | None, slot: int):
-    """Render one epoch of the worker's corpus into a slot; returns only its
-    manifest and stats."""
-    corpus, pool, slots = _worker_data
-    data = pem.generate_epoch(cfg, corpus, pool, stats)
-    views = slots.features(slot, writeable=True)
-    for utt_id, feats in data.features.items():
-        views[utt_id][...] = feats
+def _render(corpus, pool, slots, cfg: pem.EpochConfig, stats: NormStats | None):
+    """Render cfg's epoch into slot epoch_index % 2, so two epochs in a row
+    use two slots; returns only its manifest and stats."""
+    data = pem.generate_epoch(cfg, corpus, pool, stats,
+                              slots.features(cfg.epoch_index % 2, writeable=True))
     return data.manifest, data.stats
-
-
-def _submit_epoch(workers: _Workers, cfg: pem.EpochConfig, stats: NormStats | None):
-    """Have a worker render cfg's epoch into slot epoch_index % 2, so two
-    epochs in a row use two slots; returns (cfg, its future)."""
-    with _worker_death(f"rendering epoch {cfg.epoch_index}"):
-        return cfg, workers.executor.submit(_worker_render, cfg, stats,
-                                            cfg.epoch_index % 2)
-
-
-def _take_epoch(workers: _Workers, pending) -> pem.EpochData:
-    """A submitted epoch as EpochData over views into its slot."""
-    cfg, future = pending
-    with _worker_death(f"rendering epoch {cfg.epoch_index}"):
-        manifest, stats = future.result()
-    return pem.EpochData(manifest, workers.slots.features(cfg.epoch_index % 2),
-                         stats)
 
 
 def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
@@ -408,14 +212,8 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     fingerprint = config.fingerprint(schedule, corpus_id, pool)
 
     def epoch_config(epoch_index, stage_set):
-        return pem.EpochConfig(
-            epoch_index=epoch_index,
-            stage_snr_set=stage_set,
-            master_seed=config.master_seed,
-            gauss_sigma=config.gauss_sigma,
-            noise_pool_id=pool.pool_id,
-            corpus_id=corpus_id,
-        )
+        return pem.EpochConfig(epoch_index, stage_set, config.master_seed,
+                               config.gauss_sigma, pool.pool_id, corpus_id)
 
     model = RecurrentCtcModel(ModelConfig(
         num_outputs=alphabet.num_outputs,
@@ -435,14 +233,16 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     epoch_refs: list = []  # a weakref to each epoch generated
     max_live = 0
     epochs_run = 0
-    # one worker renders while the parent trains: two processes are all
-    # that training uses
-    workers = _decode_workers(train_corpus, pool,
-                              min(2, -(-len(train_corpus) // config.batch_size)))
+    # two parts: one worker renders the next epoch while the parent trains
+    runner = workers.runner(train_corpus, pool, 2)
     end = schedule.resolved_max_epochs  # no epoch from end on is rendered
     if stop_after is not None:
         end = min(end, controller.epoch_counter + stop_after)
-    pending = None  # (EpochConfig, future) of the epoch a worker renders
+    pending = None  # (EpochConfig, task) of the next epoch's render
+
+    def submit(cfg):
+        return cfg, runner.submit(f"rendering epoch {cfg.epoch_index}",
+                                  _render, cfg, state.stats)
 
     def terminated():
         return bool(controller.records) and \
@@ -452,35 +252,28 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         while not terminated() and epochs_run != stop_after:
             epoch_index = controller.epoch_counter
             cfg = epoch_config(epoch_index, controller.stage_set)
-            # a fresh run has no stats yet: its epoch 0 fits them
-            if workers is None:
-                data = pem.generate_epoch(cfg, train_corpus, pool, state.stats)
-            else:
-                if pending is not None and pending[0] != cfg:
-                    # made before a stage switch: it ends before the next
-                    # submit, so two tasks never write one slot
-                    from concurrent.futures import wait
-                    wait([pending[1]])
-                    pending = None
-                if pending is None:
-                    pending = _submit_epoch(workers, cfg, state.stats)
-                data = _take_epoch(workers, pending)
+            if pending is not None and pending[0] != cfg:
+                # made before a stage switch: it ends before the next submit,
+                # so two tasks never write one slot
+                pending[1].discard()
                 pending = None
+            # a fresh run has no stats yet: its epoch 0 fits them
+            manifest, state.stats = (pending or submit(cfg))[1].result()
+            pending = None
+            data = pem.EpochData(manifest, runner.slots.features(epoch_index % 2),
+                                 state.stats)
             epoch_refs.append(weakref.ref(data))
             max_live = max(max_live, sum(ref() is not None for ref in epoch_refs))
-            state.stats = data.stats
-            if workers is not None and epoch_index + 1 < end:
-                # a worker renders the next epoch in this stage meanwhile;
-                # the stats never change once fit
-                pending = _submit_epoch(workers, epoch_config(
-                    epoch_index + 1, controller.stage_set), state.stats)
+            if epoch_index + 1 < end:
+                # the next epoch in this stage, rendered by a worker meanwhile
+                # (with none, when it is taken); the stats never change once fit
+                pending = submit(epoch_config(epoch_index + 1, controller.stage_set))
             state.train_losses.append(_train_epoch(
                 model, state.adam, config, train_corpus, encoded, epoch_index,
                 data.features))
             manifests.append(data.manifest)
             del data  # freed before the dev decode and the next epoch
-            if workers is not None:
-                workers.slots.release(epoch_index % 2)
+            runner.slots.release(epoch_index % 2)
 
             stage_index = controller.stage_index
             if dev[0] != stage_index:
@@ -503,8 +296,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
             epochs_run += 1
     finally:
         if pending is not None:  # no task outlives the call
-            from concurrent.futures import wait
-            wait([pending[1]])
+            pending[1].discard()
 
     records = controller.records
     log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"

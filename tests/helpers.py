@@ -126,9 +126,9 @@ def watch_generation(patch) -> list:
     generate = pem.generate_epoch
     made = []
 
-    def watching_generate(cfg, corpus, pool, stats=None):
+    def watching_generate(cfg, corpus, pool, stats=None, out=None):
         assert all(ref() is None for _, ref in made), cfg.epoch_index
-        data = generate(cfg, corpus, pool, stats)
+        data = generate(cfg, corpus, pool, stats, out)
         made.append((cfg, weakref.ref(data)))
         return data
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import helpers
 import reference_wer_tables as tables
+import snrtrain
 from snrtrain import cli
 from snrtrain.audio import Waveform, read_wav, write_wav
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
@@ -665,13 +667,29 @@ def test_usage_error_exit_2():
 
 
 def test_import_loads_no_process_pool():
-    # the decode workers import both on first use
+    # snrtrain.workers imports both on first use
     code = ("import sys, snrtrain, snrtrain.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_workers_imports_process_machinery():
+    machinery = {"multiprocessing", "concurrent", "mmap", "ctypes"}
+    importers = set()
+    for path in Path(snrtrain.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in machinery for name in names):
+                importers.add(path.name)
+    assert importers == {"workers.py"}
 
 
 def test_import_loads_no_scipy():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import file_digests, watch_generation
-from snrtrain import features, pem, trainer, wer
+from snrtrain import features, pem, trainer, wer, workers
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
 from snrtrain.errors import ComputeError, DataError
@@ -548,10 +548,10 @@ def test_generation_failure_resumes_into_the_uninterrupted_files(
 
     generate = pem.generate_epoch
 
-    def failing_generate(cfg, corpus, pool, stats=None):
+    def failing_generate(cfg, corpus, pool, stats=None, out=None):
         if cfg.epoch_index == 1:
             raise DataError("injected failure")
-        return generate(cfg, corpus, pool, stats)
+        return generate(cfg, corpus, pool, stats, out)
 
     crashed_dir = tmp_path / "crashed"
     with monkeypatch.context() as patch:
@@ -608,9 +608,9 @@ def running(pid: int) -> bool:
 
 @pytest.fixture
 def no_workers():
-    trainer._stop_decode_workers()
+    workers.stop()
     yield
-    trainer._stop_decode_workers()
+    workers.stop()
 
 
 @pytest.fixture(scope="module")
@@ -636,19 +636,19 @@ def test_worker_table_equals_serial(tiny_setup, tiny_model, test_corpus,
     assert not worker_pids()
     two_cpus(monkeypatch)
     assert table() == serial
-    assert len(worker_pids()) == (2 if size > batch_size else 0)
+    assert len(worker_pids()) == (1 if size > batch_size else 0)
 
 
 def test_render_error_in_the_second_worker_names_the_utterance(
         tiny_setup, tiny_model, monkeypatch, no_workers):
     _, dev_corpus, pool = tiny_setup
     two_cpus(monkeypatch)
-    # 7 utterances in batches of 2: the workers take items 0-3 and 4-6
+    # 7 utterances in batches of 2: the parent takes items 0-3, the worker 4-6
     with pytest.raises(DataError, match="'devshort'.*shorter than one"):
         evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
                                tiny_model.stats, dev_corpus + (SHORT_DEV,),
                                pool, -10.0, eval_seed=1, batch_size=2)
-    assert len(worker_pids()) == 2
+    assert len(worker_pids()) == 1
 
 
 @pytest.mark.parametrize("case", ["one_cpu", "one_batch", "no_blas_setter",
@@ -659,7 +659,7 @@ def test_serial_fallbacks_start_no_process(tiny_setup, tiny_model, monkeypatch,
     batch_size = 16 if case == "one_batch" else 2
     two_cpus(monkeypatch, cpus=1 if case == "one_cpu" else 2)
     if case == "no_blas_setter":
-        monkeypatch.setattr(trainer, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(workers, "_openblas", lambda: None)
 
     def evaluate():
         return evaluate_condition_wer(tiny_model.model, tiny_model.alphabet,
@@ -668,12 +668,12 @@ def test_serial_fallbacks_start_no_process(tiny_setup, tiny_model, monkeypatch,
 
     if case != "in_a_worker":
         assert evaluate() == PINNED_CONDITION_WERS[-10.0]
-        assert trainer._workers is None and not worker_pids()
+        assert workers._forked is None and not worker_pids()
         return
     reader, writer = multiprocessing.Pipe(duplex=False)
 
     def child():
-        writer.send((evaluate(), trainer._workers is None, worker_pids()))
+        writer.send((evaluate(), workers._forked is None, worker_pids()))
 
     process = multiprocessing.get_context("fork").Process(target=child)
     process.start()
@@ -696,12 +696,12 @@ def test_workers_are_kept_for_the_same_corpus_and_pool(tiny_setup, tiny_model,
 
     assert evaluate(pool) == PINNED_CONDITION_WERS[-10.0]
     first = worker_pids()
-    assert len(first) == 2
+    assert len(first) == 1
     assert evaluate(pool) == PINNED_CONDITION_WERS[-10.0]
     assert worker_pids() == first
     assert evaluate(NoisePool(pool.noise, pool.pool_id)) == PINNED_CONDITION_WERS[-10.0]
     second = worker_pids()
-    assert len(second) == 2 and not second & first
+    assert len(second) == 1 and not second & first
 
 
 def test_dead_worker_is_a_compute_error_and_the_next_call_starts_afresh(
@@ -721,14 +721,15 @@ def test_dead_worker_is_a_compute_error_and_the_next_call_starts_afresh(
     deadline = time.monotonic() + 5.0
     while running(victim) and time.monotonic() < deadline:
         time.sleep(0.01)
-    with pytest.raises(ComputeError, match="decode worker died .*condition -10"):
+    with pytest.raises(ComputeError, match="a worker died .*condition -10"):
         evaluate()
-    assert trainer._workers is None
+    assert workers._forked is None
     assert evaluate() == PINNED_CONDITION_WERS[-10.0]
-    assert len(worker_pids()) == 2 and not worker_pids() & first
+    assert len(worker_pids()) == 1 and not worker_pids() & first
 
 
-# One evaluation on two decode workers; "forever" repeats it until killed.
+# One evaluation on the parent and one worker; "forever" repeats it until
+# killed.
 WORKER_SCRIPT = """
 import multiprocessing, os, sys
 import numpy as np
@@ -761,7 +762,7 @@ def test_workers_end_with_a_normal_exit():
     assert proc.returncode == 0
     assert proc.stderr == ""
     pids = [int(p) for p in proc.stdout.split()]
-    assert len(pids) == 2
+    assert len(pids) == 1
     assert not any(running(pid) for pid in pids)
 
 
@@ -774,7 +775,7 @@ def test_workers_end_when_the_parent_is_killed():
         proc.kill()
         proc.wait()
         proc.stdout.close()
-    assert len(pids) == 2
+    assert len(pids) == 1
     deadline = time.monotonic() + 5.0
     while any(running(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
@@ -785,11 +786,11 @@ def test_workers_end_when_the_parent_is_killed():
 
 
 def blas_threads() -> int:
-    return trainer._openblas()[0]()
+    return workers._openblas()[0]()
 
 
 def no_task_pending() -> bool:
-    return not trainer._workers.executor._pending_work_items
+    return not workers._forked.executor._pending_work_items
 
 
 def log_renders(patch, path) -> None:
@@ -798,10 +799,10 @@ def log_renders(patch, path) -> None:
     path."""
     generate = pem.generate_epoch
 
-    def logging_generate(cfg, corpus, pool, stats=None):
+    def logging_generate(cfg, corpus, pool, stats=None, out=None):
         with open(path, "a", encoding="ascii") as fh:
             fh.write(f"{os.getpid()} {cfg.epoch_index} {len(cfg.stage_snr_set)}\n")
-        return generate(cfg, corpus, pool, stats)
+        return generate(cfg, corpus, pool, stats, out)
 
     patch.setattr(pem, "generate_epoch", logging_generate)
 
@@ -822,10 +823,10 @@ def test_worker_path_equals_serial(tiny_setup, tmp_path, monkeypatch, no_workers
         else Schedule("multicondition", patience=2, max_epochs=4)
     generate = pem.generate_epoch
 
-    def failing_generate(cfg, corpus, pool, stats=None):
+    def failing_generate(cfg, corpus, pool, stats=None, out=None):
         if cfg.epoch_index == 1:
             raise DataError(f"injected failure in {os.getpid()}")
-        return generate(cfg, corpus, pool, stats)
+        return generate(cfg, corpus, pool, stats, out)
 
     def run(out_dir, **kwargs):
         return train(train_corpus, dev_corpus, schedule, pool,
@@ -844,11 +845,11 @@ def test_worker_path_equals_serial(tiny_setup, tmp_path, monkeypatch, no_workers
             in_a_worker = str(err.value) != f"injected failure in {os.getpid()}"
             assert in_a_worker == (cpus == 2)
             # its workers were forked with the failing generate_epoch
-            trainer._stop_decode_workers()
+            workers.stop()
             assert [p.name for p in (out_dir / "manifests").iterdir()] == \
                 ["epoch_0000.manifest"]
         result = run(out_dir)
-        assert (trainer._workers is not None) == (cpus == 2)
+        assert (workers._forked is not None) == (cpus == 2)
         if cpus == 2:
             assert no_task_pending()
         return (result.log_lines, result.best_hash,
@@ -856,11 +857,45 @@ def test_worker_path_equals_serial(tiny_setup, tmp_path, monkeypatch, no_workers
 
     threads = blas_threads()
     serial = outcome(1)
-    assert trainer._workers is None and blas_threads() == threads
+    assert workers._forked is None and blas_threads() == threads
     assert outcome(2) == serial
-    assert len(worker_pids()) == 2 and blas_threads() == 1
-    trainer._stop_decode_workers()
+    assert len(worker_pids()) == 1 and blas_threads() == 1
+    workers.stop()
     assert blas_threads() == threads
+
+
+def test_dead_render_worker_is_a_compute_error_and_the_rerun_resumes(
+        tiny_setup, tmp_path, monkeypatch, no_workers):
+    train_corpus, dev_corpus, pool = tiny_setup
+    schedule = Schedule("multicondition", patience=2, max_epochs=4)
+    two_cpus(monkeypatch)
+
+    def run(out_dir):
+        return train(train_corpus, dev_corpus, schedule, pool,
+                     tiny_config(master_seed=5), out_dir=out_dir)
+
+    full_dir = tmp_path / "full"
+    run(full_dir)
+    workers.stop()
+    threads = blas_threads()
+    parent = os.getpid()
+    generate = pem.generate_epoch
+
+    def dying_generate(cfg, corpus, pool, stats=None, out=None):
+        if cfg.epoch_index == 2 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return generate(cfg, corpus, pool, stats, out)
+
+    crashed_dir = tmp_path / "crashed"
+    with monkeypatch.context() as patch:
+        patch.setattr(pem, "generate_epoch", dying_generate)
+        with pytest.raises(ComputeError, match="a worker died rendering epoch 2"):
+            run(crashed_dir)
+    assert workers._forked is None and blas_threads() == threads
+    assert sorted(p.name for p in (crashed_dir / "manifests").iterdir()) == \
+        ["epoch_0000.manifest", "epoch_0001.manifest"]
+    assert run(crashed_dir).epochs_run == 2
+    assert file_digests(crashed_dir) == file_digests(full_dir)
 
 
 @pytest.mark.parametrize("stopped_first", [False, True])
@@ -931,14 +966,14 @@ def test_training_serial_fallbacks_start_no_process(tiny_setup, monkeypatch,
     train_corpus, dev_corpus, pool = tiny_setup
     two_cpus(monkeypatch, cpus=1 if case == "one_cpu" else 2)
     if case == "no_blas_setter":
-        monkeypatch.setattr(trainer, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(workers, "_openblas", lambda: None)
     made = watch_generation(monkeypatch)
     schedule = Schedule("multicondition", patience=2, max_epochs=4)
 
     def run():
         result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
         return (tuple(result.log_lines), result.best_hash, len(made),
-                trainer._workers is None, worker_pids())
+                workers._forked is None, worker_pids())
 
     # the parent renders all 4 epochs itself
     expected = (GOLDEN_RUNS["multicondition", 2, 4][1],
@@ -970,7 +1005,7 @@ def test_workers_do_not_keep_the_corpus_and_pool_alive(tiny_setup, tiny_model,
     del corpus, pool
     gc.collect()
     assert all(ref() is None for ref in refs)
-    assert len(pids) == 2 and all(running(pid) for pid in pids)
+    assert len(pids) == 1 and all(running(pid) for pid in pids)
 
 
 def test_evaluation_of_an_empty_corpus_is_a_data_error(tiny_setup, tiny_model):
