@@ -13,8 +13,7 @@ aggregation.
 
 from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
                     mixing_gain, read_wav, rms, write_wav)
-from .ctc import (LabelAlphabet, best_path_decode, ctc_feasible,
-                  ctc_loss_and_grad)
+from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import (DEFAULT_SNR_GRID, Decision, Schedule, StageController,
                          build_stages, sample_snr)
 from .errors import ComputeError, DataError

@@ -45,10 +45,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 def rms(w: Waveform) -> float:
     """Root-mean-square amplitude of the whole waveform."""

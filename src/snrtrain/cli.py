@@ -69,9 +69,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = experiments.load_run_config(args.config)
-    result, _, out_dir = experiments.run_experiment(config, args.config,
-                                                    args.stop_after)
+    result, _, out_dir = experiments.run_experiment(args.config, args.stop_after)
     print(f"status={result.status} epochs={result.epochs_run} "
           f"stages_entered={result.stage_entry_count} "
           f"final_dev_wer={result.dev_wers[-1]:.4f}")

@@ -45,10 +45,6 @@ class LabelAlphabet:
         object.__setattr__(self, "symbols", symbols)
 
     @property
-    def blank_index(self) -> int:
-        return len(self.symbols)
-
-    @property
     def num_outputs(self) -> int:
         return len(self.symbols) + 1
 
@@ -69,13 +65,6 @@ def _check_labels(labels, num_outputs: int) -> list[int]:
     if any(y < 0 or y >= blank for y in labels):
         raise DataError(f"label indices must lie in [0, {blank}), got {labels}")
     return labels
-
-
-def ctc_feasible(num_frames: int, labels) -> bool:
-    """True when at least one alignment of length num_frames exists."""
-    labels = list(labels)
-    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
-    return num_frames >= len(labels) + repeats
 
 
 def ctc_loss_and_grad(log_probs, lengths, labels):

@@ -1,12 +1,14 @@
 """Experiment configs, and the directional comparison built from them.
 
-run_experiment trains the experiment config that `snrtrain train --config`
-reads, resuming a run saved in its run directory. run_comparison trains
+run_experiment trains the experiment file that `snrtrain train --config`
+names, resuming a run saved in its run directory. run_comparison trains
 curriculum, multi-condition and clean-only models per seed on the
-synthetic tone task, each an experiment in <out_dir>/<method>-s<seed>/,
-and scores them at low test SNRs in pink noise. The expected ordering at 0
-and -5 dB is curriculum <= multi-condition (within a small slack) and both
-far better than the clean-only baseline.
+synthetic tone task: it writes each job's experiment file to
+<out_dir>/<method>-s<seed>/experiment.json, trains it from that file
+through run_experiment, and scores the models at low test SNRs in pink
+noise. The expected ordering at 0 and -5 dB is curriculum <=
+multi-condition (within a small slack) and both far better than the
+clean-only baseline.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _pool_from_config(section: dict, base_dir: str, sample_rate_hz: int) -> Nois
     raise DataError(f"unknown noise kind {kind!r}; use 'pink' or 'wav'")
 
 
-def load_run_config(path) -> dict:
+def _load_run_config(path) -> dict:
     """The experiment config in a JSON file, its sections checked, or
     DataError naming the file; a missing file raises FileNotFoundError."""
     try:
@@ -121,10 +123,11 @@ def _train_config(config: dict, path) -> trainer.TrainConfig:
         master_seed=field_value(config, "master_seed", int, path), **settings)
 
 
-def run_experiment(config: dict, path, stop_after: int | None = None):
-    """Train (or resume) the experiment `config` read from, or written to,
-    the file `path`; its relative paths resolve against the file's
-    directory. Returns (TrainResult, noise pool, resolved out_dir)."""
+def run_experiment(path, stop_after: int | None = None):
+    """Train (or resume) the experiment in the JSON file `path`; its
+    relative paths resolve against the file's directory. Returns
+    (TrainResult, noise pool, resolved out_dir)."""
+    config = _load_run_config(path)
     train_config = _train_config(config, path)
     base_dir = os.path.dirname(os.path.abspath(path))
     train_corpus, dev_corpus = _corpus_from_config(config["corpus"], base_dir)
@@ -242,7 +245,7 @@ def run_comparison(spec: ComparisonSpec, out_dir, progress=None) -> ComparisonRe
             if os.path.exists(path) and read_text(path) != text:
                 raise DataError(f"{path} holds another experiment; refusing to resume")
             write_atomic((path, text.encode()))
-            result, pool, _ = run_experiment(config, path)
+            result, pool, _ = run_experiment(path)
             wers = {
                 condition: trainer.evaluate_condition_wer(
                     result.model, result.alphabet, result.stats, test_corpus,

@@ -36,23 +36,6 @@ def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filter_spacing(sample_rate_hz: int) -> float:
-    """Distance in mel between adjacent filter centers."""
-    low = hz_to_mel(LOW_FREQ_HZ)
-    high = hz_to_mel(sample_rate_hz / 2.0)
-    return float((high - low) / (NUM_FILTERS + 1))
-
-
-def mel_filter_centers_hz(sample_rate_hz: int) -> np.ndarray:
-    low = hz_to_mel(LOW_FREQ_HZ)
-    spacing = mel_filter_spacing(sample_rate_hz)
-    return mel_to_hz(low + spacing * np.arange(1, NUM_FILTERS + 1))
-
-
 def frame_sizes(sample_rate_hz: int) -> tuple[int, int]:
     win = int(round(sample_rate_hz * FRAME_LENGTH_MS / 1000.0))
     hop = int(round(sample_rate_hz * FRAME_SHIFT_MS / 1000.0))
@@ -60,12 +43,9 @@ def frame_sizes(sample_rate_hz: int) -> tuple[int, int]:
 
 
 def num_frames(num_samples: int, sample_rate_hz: int) -> int:
+    """Frames cut from num_samples samples; 0 if shorter than one."""
     win, hop = frame_sizes(sample_rate_hz)
-    if num_samples < win:
-        raise DataError(
-            f"signal of {num_samples} samples shorter than one {win}-sample frame"
-        )
-    return 1 + (num_samples - win) // hop
+    return max(0, 1 + (num_samples - win) // hop)
 
 
 @lru_cache(maxsize=8)
@@ -79,6 +59,8 @@ def frame_signal(w: Waveform) -> np.ndarray:
     """Cut into Hamming-windowed frames, shape (num_frames, window_samples)."""
     win, hop = frame_sizes(w.sample_rate_hz)
     count = num_frames(len(w), w.sample_rate_hz)
+    if count == 0:
+        raise DataError(f"signal of {len(w)} samples shorter than one {win}-sample frame")
     windows = np.lib.stride_tricks.sliding_window_view(w.samples, win)
     return windows[: hop * count : hop] * _hamming(win)
 

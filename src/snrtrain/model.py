@@ -4,7 +4,10 @@ One tanh recurrent layer over 123-dim feature frames, a linear projection
 to alphabet+blank logits, and log-softmax outputs. Dropout (inverted, on
 the recurrent-layer output feeding the projection) is active only in train
 mode. Parameters use Glorot uniform initialization from a fixed seed, so a
-whole experiment is reproducible bit for bit.
+whole experiment is reproducible bit for bit. forward_batch scores a padded
+batch; one sequence is a batch of one. adam_step takes only the learning
+rate: the Adam betas and epsilon are the constants ADAM_BETA1, ADAM_BETA2
+and ADAM_EPS.
 """
 
 from __future__ import annotations
@@ -103,11 +106,6 @@ class RecurrentCtcModel:
         )
         return log_probs, (x, hidden, mask)
 
-    def forward(self, features, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        log_probs, _ = self.forward_batch([features], train=train, rng=rng)
-        return log_probs[:, 0]
-
     def backward_batch(self, cache, dlogits) -> dict:
         """Parameter gradients given the padded (T, B, K) d(loss)/d(logits)
         of the forward_batch that made cache. Rows t >= T_i of item i must
@@ -200,6 +198,10 @@ def load_checkpoint(path, dropout: float = 0.3):
 
 # --- Adam ---------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -216,15 +218,14 @@ def adam_init(params: dict) -> AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, *,
-              learning_rate: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+              learning_rate: float = 1e-3) -> None:
     """One bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
     for k in sorted(params):
         g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        m_hat = state.m[k] / (1.0 - beta1**t)
-        v_hat = state.v[k] / (1.0 - beta2**t)
-        params[k] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[k] / (1.0 - ADAM_BETA1**t)
+        v_hat = state.v[k] / (1.0 - ADAM_BETA2**t)
+        params[k] -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

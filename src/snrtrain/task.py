@@ -2,10 +2,10 @@
 
 Each alphabet symbol maps to a pure tone; an utterance is a concatenation
 of Hann-windowed tone segments with jittered durations and phases, peak
-normalized to 0.5. Tones are spaced at least two mel filter bandwidths
-apart so each symbol excites a distinct filterbank region. The task stands
-in for a speech corpus so the waveform-level mixing and the full training
-loop can run at desk scale.
+normalized to 0.5. The task's settings are constants: four symbols on
+tones at least two mel filter spacings apart, so each symbol excites a
+distinct filterbank region. The task stands in for a speech corpus so the
+waveform-level mixing and the full training loop can run at desk scale.
 """
 
 from __future__ import annotations
@@ -16,37 +16,16 @@ import numpy as np
 
 from .audio import Waveform
 from .errors import DataError
-from .features import hz_to_mel, mel_filter_spacing
 
 
-@dataclass(frozen=True)
 class SyntheticTask:
-    symbols: tuple = ("a", "b", "c", "d")
-    tone_hz: tuple = (440.0, 880.0, 1760.0, 3520.0)
-    min_symbols: int = 2
-    max_symbols: int = 5
-    segment_ms: tuple = (120.0, 200.0)
-    sample_rate_hz: int = 16000
-    peak: float = 0.5
-
-    def __post_init__(self):
-        if len(self.symbols) != len(self.tone_hz):
-            raise DataError("one tone frequency per symbol required")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DataError("symbols must be distinct")
-        if not (1 <= self.min_symbols <= self.max_symbols):
-            raise DataError("need 1 <= min_symbols <= max_symbols")
-        nyquist = self.sample_rate_hz / 2.0
-        if any(not (0.0 < f < nyquist) for f in self.tone_hz):
-            raise DataError(f"tone frequencies must lie in (0, {nyquist}) Hz")
-        mels = sorted(float(hz_to_mel(f)) for f in self.tone_hz)
-        min_gap = 2.0 * mel_filter_spacing(self.sample_rate_hz)
-        gaps = [b - a for a, b in zip(mels, mels[1:])]
-        if gaps and min(gaps) < min_gap:
-            raise DataError(
-                f"tones too close on the mel scale: min gap {min(gaps):.1f} mel, "
-                f"need >= {min_gap:.1f}"
-            )
+    symbols = ("a", "b", "c", "d")
+    tone_hz = (440.0, 880.0, 1760.0, 3520.0)
+    min_symbols = 2
+    max_symbols = 5
+    segment_ms = (120.0, 200.0)
+    sample_rate_hz = 16000
+    peak = 0.5
 
     def tone_for(self, symbol: str) -> float:
         try:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import pem, workers
+from . import model as model_mod, pem, workers
 from .audio import NoisePool
 from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Decision, Schedule, StageController
@@ -43,9 +43,6 @@ STATE_FILE = "state.npz"
 class TrainConfig:
     master_seed: int
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 16
     dropout: float = 0.3
     hidden_size: int = 64
@@ -65,7 +62,11 @@ class TrainConfig:
     def fingerprint(self, schedule: Schedule, corpus_id: str, pool: NoisePool) -> str:
         payload = json.dumps(
             {
-                "config": {f.name: getattr(self, f.name) for f in fields(self)},
+                # the Adam constants under their old TrainConfig keys, so
+                # that runs saved with those fields still resume
+                "config": {f.name: getattr(self, f.name) for f in fields(self)}
+                | {"beta1": model_mod.ADAM_BETA1, "beta2": model_mod.ADAM_BETA2,
+                   "adam_eps": model_mod.ADAM_EPS},
                 "schedule": [schedule.kind, [str(v) for v in schedule.grid],
                              schedule.patience, schedule.resolved_max_epochs],
                 "corpus": corpus_id,
@@ -351,9 +352,7 @@ def _train_epoch(model, adam: AdamState, config: TrainConfig, train_corpus,
                     f"utterance {utt_id!r}")
             total_loss += loss
         grads = model.backward_batch(cache, dlogits / len(batch_ids))
-        adam_step(model.params, grads, adam,
-                  learning_rate=config.learning_rate, beta1=config.beta1,
-                  beta2=config.beta2, eps=config.adam_eps)
+        adam_step(model.params, grads, adam, learning_rate=config.learning_rate)
     return total_loss / len(train_corpus)
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ComputeError
-from .features import FEATURE_DIM, frame_sizes
+from .features import FEATURE_DIM, num_frames
 
 
 class _EpochSlots:
@@ -43,9 +43,8 @@ class _EpochSlots:
         self.layout = []  # (utterance id, first value, frames)
         size = 0
         for u in corpus:
-            win, hop = frame_sizes(u.waveform.sample_rate_hz)
             # no frames for an utterance shorter than one: its render raises
-            frames = max(0, 1 + (len(u.waveform) - win) // hop)
+            frames = num_frames(len(u.waveform), u.waveform.sample_rate_hz)
             self.layout.append((u.utt_id, size, frames))
             size += frames * FEATURE_DIM
         self.size = size

@@ -47,6 +47,18 @@ def octave_band_slope(waveform, f_lo=125.0, f_hi=4000.0) -> float:
     return float(np.polyfit(octaves, band_db, 1)[0])
 
 
+def mel(f_hz):
+    """O'Shaughnessy's mel scale."""
+    return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
+
+
+def mel_filter_centers_hz(sample_rate_hz, num_filters=40, low_hz=20.0) -> np.ndarray:
+    """Center frequencies of the triangular filters: num_filters points
+    equally spaced in mel strictly between low_hz and Nyquist."""
+    points = np.linspace(mel(low_hz), mel(sample_rate_hz / 2.0), num_filters + 2)
+    return 700.0 * (10.0 ** (points[1:-1] / 2595.0) - 1.0)
+
+
 def collapse_two_pass(path, blank) -> tuple:
     """Reference collapse: drop adjacent repeats first, then blanks."""
     deduped = []

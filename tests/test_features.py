@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import mel_filter_centers_hz
 from snrtrain.audio import Waveform
 from snrtrain.errors import DataError
 from snrtrain.features import (ENERGY_FLOOR, FEATURE_DIM, NUM_STATIC,
                                NormStats, append_deltas,
                                featurize_waveform, fit_norm_stats,
                                frame_signal, inject_gaussian,
-                               log_mel_energies, mel_filter_centers_hz,
+                               log_mel_energies,
                                normalize, normalize_per_utterance, num_frames,
                                read_feature_file, read_norm_stats,
                                write_feature_file, write_norm_stats)

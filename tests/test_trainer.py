@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import file_digests, watch_generation
-from snrtrain import features, pem, trainer, wer, workers
+from snrtrain import features, model, pem, trainer, wer, workers
 from snrtrain.audio import CLEAN, NoisePool, Waveform
 from snrtrain.curriculum import Schedule
 from snrtrain.errors import ComputeError, DataError
@@ -129,6 +129,16 @@ def test_fingerprint_is_pinned_and_covers_every_field(tiny_setup):
     for f in fields(TrainConfig):
         changed = replace(config, **{f.name: getattr(config, f.name) + 1})
         assert changed.fingerprint(schedule, corpus_id, pool) != TINY_FINGERPRINT, f.name
+
+
+def test_fingerprint_covers_the_adam_constants(tiny_setup, monkeypatch):
+    schedule = Schedule("multicondition", patience=2, max_epochs=4)
+    corpus_id = corpus_fingerprint(tiny_setup[0])
+    for name in ("ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS"):
+        with monkeypatch.context() as patch:
+            patch.setattr(model, name, getattr(model, name) / 2)
+            assert tiny_config().fingerprint(schedule, corpus_id, tiny_setup[2]) \
+                != TINY_FINGERPRINT, name
 
 
 def test_dev_wers_are_exact_and_logs_round_them(tiny_setup, tmp_path):
@@ -682,6 +692,17 @@ def test_serial_fallbacks_start_no_process(tiny_setup, tiny_model, monkeypatch,
     process.join(60)
     assert not process.is_alive()
     assert result == (PINNED_CONDITION_WERS[-10.0], True, set())
+
+
+def test_slot_views_have_the_featurized_shape():
+    win, hop = features.frame_sizes(TASK.sample_rate_hz)
+    rng = np.random.default_rng(3)
+    corpus = tuple(Utterance(f"len{n}", Waveform(rng.normal(0.0, 0.1, n),
+                                                 TASK.sample_rate_hz), ("a",))
+                   for n in (win, win + hop - 1, win + hop))
+    views = workers._EpochSlots(corpus).features(0)
+    for u in corpus:
+        assert views[u.utt_id].shape == features.featurize_waveform(u.waveform).shape
 
 
 def test_workers_are_kept_for_the_same_corpus_and_pool(tiny_setup, tiny_model,
