@@ -7,11 +7,15 @@ from snrtrain.features import frame_signal, log_mel_energies
 from snrtrain.task import SyntheticTask, make_corpus, synth_utterance
 
 
-def test_constant_task_is_well_formed():
+def test_tone_count_must_match_symbols():
     task = SyntheticTask()
     assert len(set(task.symbols)) == len(task.symbols) == len(task.tone_hz)
     assert 1 <= task.min_symbols <= task.max_symbols
     assert all(0.0 < f < task.sample_rate_hz / 2.0 for f in task.tone_hz)
+
+
+def test_tones_must_stay_separated_on_mel_scale():
+    task = SyntheticTask()
     spacing = np.diff(mel(mel_filter_centers_hz(task.sample_rate_hz)))
     gaps = np.diff(np.sort(mel(task.tone_hz)))
     assert gaps.min() >= 2.0 * spacing.max()
