@@ -17,29 +17,26 @@ import time
 from snrtrain.experiments import ComparisonSpec, run_comparison
 
 
+# the spec fields the script takes as options, each defaulting to the spec's
+SETTINGS = ("num_train", "num_dev", "num_test", "hidden_size", "patience",
+            "learning_rate")
+
+
 def main(argv=None) -> int:
+    defaults = ComparisonSpec()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="1,2,3",
+    parser.add_argument("--seeds", default=",".join(map(str, defaults.seeds)),
                         help="comma-separated training seeds")
-    parser.add_argument("--num-train", type=int, default=200)
-    parser.add_argument("--num-dev", type=int, default=50)
-    parser.add_argument("--num-test", type=int, default=50)
-    parser.add_argument("--hidden-size", type=int, default=64)
-    parser.add_argument("--patience", type=int, default=3)
-    parser.add_argument("--learning-rate", type=float, default=2e-3)
+    for name in SETTINGS:
+        default = getattr(defaults, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default)
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="directory of the jobs' run directories")
     args = parser.parse_args(argv)
 
-    spec = ComparisonSpec(
-        num_train=args.num_train,
-        num_dev=args.num_dev,
-        num_test=args.num_test,
-        hidden_size=args.hidden_size,
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
-        patience=args.patience,
-        learning_rate=args.learning_rate,
-    )
+    spec = ComparisonSpec(seeds=tuple(int(s) for s in args.seeds.split(",")),
+                          **{name: getattr(args, name) for name in SETTINGS})
     start = time.time()
     result = run_comparison(spec, args.out, progress=print)
     print(f"\ntotal wall time {time.time() - start:.0f}s\n")

@@ -23,7 +23,6 @@ from .noise import NoiseSpec, generate_noise, generate_pink, generate_white
 from .pem import EpochConfig, EpochManifest, generate_epoch
 from .task import SyntheticTask, Utterance, make_corpus, synth_utterance
 from .trainer import TrainConfig, evaluate_condition_wer, train
-from .wer import (aggregate_ranges, corpus_wer, edit_distance,
-                  relative_improvement, word_error_rate)
+from .wer import aggregate_ranges, corpus_wer, edit_distance, relative_improvement
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ from . import experiments, features, pem, wer
 from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
                     mixing_gain, read_wav, sample_segment_offset, segment_at,
                     write_wav)
+from .curriculum import Decision
 from .errors import ComputeError, DataError, read_text, write_atomic
 from .noise import NoiseSpec, generate_pink
 from .seeding import derived_rng
@@ -70,9 +71,10 @@ def cmd_featurize(args) -> int:
 
 def cmd_train(args) -> int:
     result, _, out_dir = experiments.run_experiment(args.config, args.stop_after)
+    switches = sum(r.decision is Decision.SWITCH_STAGE for r in result.records)
     print(f"status={result.status} epochs={result.epochs_run} "
-          f"stages_entered={result.stage_entry_count} "
-          f"final_dev_wer={result.dev_wers[-1]:.4f}")
+          f"stages_entered={1 + switches} "
+          f"final_dev_wer={result.records[-1].dev_wer:.4f}")
     print(f"out_dir={out_dir}")
     return 0
 

@@ -11,7 +11,8 @@ Three schedule kinds over an SNR grid (default 0..50 dB in 5 dB steps):
 The controller tracks dev WER per stage; when it fails to improve for
 `patience` consecutive epochs the stage switches, training resumes from the
 stage-best weights, and the improvement tracking resets. On the last stage
-the same rule terminates the run, as does a total epoch cap.
+the same rule terminates the run, as does a total epoch cap. The controller
+keeps no log: the trainer's EpochRecord list is the curriculum's trace.
 """
 
 from __future__ import annotations
@@ -92,25 +93,15 @@ class Decision(enum.Enum):
     TERMINATE = "terminate"
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    """One controller step: the epoch's number, the stage it trained in, its
-    exact dev WER and the decision taken after it."""
-
-    epoch: int
-    stage: int
-    dev_wer: float
-    decision: Decision
-
-
 @dataclass
 class StageController:
     """Sequential state machine driving stage switches from dev WER.
 
     advance() is called once per epoch with the epoch's dev WER and (when
     the caller tracks weights) a checkpoint handle to record on strict
-    improvement. On SWITCH_STAGE and TERMINATE the caller should restore
-    best_checkpoint; the controller never hands out anything else.
+    improvement, and returns its decision. On SWITCH_STAGE and TERMINATE the
+    caller should restore best_checkpoint; the controller never hands out
+    anything else. It keeps no log: the caller records each epoch.
     """
 
     schedule: Schedule
@@ -119,7 +110,6 @@ class StageController:
     epochs_since_improvement: int = 0
     epoch_counter: int = 0
     best_checkpoint: object = None
-    records: list = field(default_factory=list)
     _stages: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -136,7 +126,6 @@ class StageController:
     def advance(self, dev_wer: float, checkpoint=None) -> Decision:
         if not (dev_wer >= 0):
             raise DataError(f"dev WER must be >= 0, got {dev_wer}")
-        stage_at_eval = self.stage_index
         self.epoch_counter += 1
         if dev_wer < self.best_metric:
             self.best_metric = dev_wer
@@ -146,21 +135,15 @@ class StageController:
             self.epochs_since_improvement += 1
 
         if self.epoch_counter >= self.schedule.resolved_max_epochs:
-            decision = Decision.TERMINATE
-        elif self.epochs_since_improvement >= self.schedule.patience:
-            if self.on_last_stage:
-                decision = Decision.TERMINATE
-            else:
-                decision = Decision.SWITCH_STAGE
-                self.stage_index += 1
-                self.best_metric = math.inf
-                self.epochs_since_improvement = 0
-        else:
-            decision = Decision.CONTINUE
-
-        self.records.append(
-            EpochRecord(self.epoch_counter, stage_at_eval, dev_wer, decision))
-        return decision
+            return Decision.TERMINATE
+        if self.epochs_since_improvement < self.schedule.patience:
+            return Decision.CONTINUE
+        if self.on_last_stage:
+            return Decision.TERMINATE
+        self.stage_index += 1
+        self.best_metric = math.inf
+        self.epochs_since_improvement = 0
+        return Decision.SWITCH_STAGE
 
     def to_state(self) -> dict:
         return {
@@ -168,20 +151,13 @@ class StageController:
             "best_metric": self.best_metric,
             "epochs_since_improvement": self.epochs_since_improvement,
             "epoch_counter": self.epoch_counter,
-            "records": [[r.epoch, r.stage, r.dev_wer, r.decision.value]
-                        for r in self.records],
         }
 
     def restore_state(self, state: dict, best_checkpoint=None) -> None:
-        if "records" not in state:
-            raise DataError("saved controller state has no epoch records "
-                            "(an older state format); start a new run")
         self.stage_index = int(state["stage_index"])
         self.best_metric = float(state["best_metric"])
         self.epochs_since_improvement = int(state["epochs_since_improvement"])
         self.epoch_counter = int(state["epoch_counter"])
-        self.records = [EpochRecord(int(e), int(s), float(w), Decision(d))
-                        for e, s, w, d in state["records"]]
         self.best_checkpoint = best_checkpoint
 
 

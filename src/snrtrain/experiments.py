@@ -252,7 +252,7 @@ def run_comparison(spec: ComparisonSpec, out_dir, progress=None) -> ComparisonRe
                     pool, condition, TEST_MIX_SEED)
                 for condition in spec.test_snrs
             }
-            epochs = len(result.log_lines)
+            epochs = len(result.records)
             outcomes[method].wer_by_seed[seed] = wers
             outcomes[method].epochs_by_seed[seed] = epochs
             if progress is not None:

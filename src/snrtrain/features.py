@@ -135,7 +135,6 @@ class NormStats:
 
     mean: np.ndarray
     std: np.ndarray
-    sample_count: int
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -174,7 +173,7 @@ def fit_norm_stats(matrices) -> NormStats:
         var += np.sum((m - mean) ** 2, axis=0)
     var /= total
     std = np.maximum(np.sqrt(var), STD_FLOOR)
-    return NormStats(mean, std, total)
+    return NormStats(mean, std)
 
 
 def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -242,6 +241,6 @@ def read_norm_stats(path) -> NormStats:
     if rows.shape[0] != 2:
         raise DataError(f"{path}: stats file must have 2 rows, got {rows.shape[0]}")
     try:
-        return NormStats(rows[0], np.maximum(rows[1], STD_FLOOR), 0)
+        return NormStats(rows[0], np.maximum(rows[1], STD_FLOOR))
     except DataError as err:
         raise DataError(f"{path}: {err}") from None

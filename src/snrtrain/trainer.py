@@ -3,14 +3,17 @@ monitoring, patience-driven stage switching, and resumable state.
 
 train runs one loop over epochs: take the epoch pem.generate_epoch rendered
 into a shared slot, train its batches, free it, decode the dev set, advance
-the stage controller and save the state. Renders are tasks of
-workers.runner: a worker renders epoch N+1 in epoch N's stage while the
-parent trains epoch N (with no worker, the parent renders it when taken),
-and a stage switch in between has it rendered again in the new stage. The
-parent holds one epoch at a time. Every source of randomness is derived
-from the master seed by hashing, so reruns, resumed runs and any number of
-workers give the same logs bit for bit. evaluate_condition_wer decodes a
-test condition in parts: the parent's and one per worker.
+the stage controller, append the epoch's EpochRecord and save the state. The
+EpochRecord list is the run's only per-epoch record: train_log.tsv and
+stage_log.tsv are its two line formats, state.npz stores it and TrainResult
+carries it. Renders are tasks of workers.runner: a worker renders epoch N+1
+in epoch N's stage while the parent trains epoch N (with no worker, the
+parent renders it when taken), and a stage switch in between has it
+rendered again in the new stage. The parent holds one epoch at a time.
+Every source of randomness is derived from the master seed by hashing, so
+reruns, resumed runs and any number of workers give the same logs bit for
+bit. evaluate_condition_wer decodes a test condition in parts: the parent's
+and one per worker.
 """
 
 from __future__ import annotations
@@ -78,10 +81,20 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class SwitchRecord:
+class EpochRecord:
+    """One trained epoch: its number (from 1), the stage it trained in, its
+    mean CTC loss per utterance, its exact dev WER and the controller's
+    decision after it."""
+
     epoch: int
-    best_hash: str
-    restored_hash: str
+    stage: int
+    train_loss: float
+    dev_wer: float
+    decision: Decision
+
+
+def _terminated(records) -> bool:
+    return bool(records) and records[-1].decision is Decision.TERMINATE
 
 
 @dataclass
@@ -92,25 +105,34 @@ class RunState:
     adam: AdamState
     controller: StageController
     stats: NormStats | None = None
-    train_losses: list = field(default_factory=list)
-    switch_records: list = field(default_factory=list)
+    records: list = field(default_factory=list)  # an EpochRecord per epoch
 
 
 @dataclass
 class TrainResult:
-    status: str
+    records: list  # an EpochRecord per epoch of the run, resumed ones too
     epochs_run: int
-    log_lines: list
-    dev_wers: list
-    switch_records: list
-    stage_entry_count: int
     model: RecurrentCtcModel
     stats: NormStats
     best_hash: str
     alphabet: LabelAlphabet
-    manifests: list = field(default_factory=list)
+    manifests: list
     # the most generated epochs alive at once, counted at each generation
-    max_live_epochs: int = 0
+    max_live_epochs: int
+
+    @property
+    def status(self) -> str:
+        return "terminated" if _terminated(self.records) else "stopped"
+
+    @property
+    def log_lines(self) -> list:
+        """The lines of train_log.tsv."""
+        return [f"{r.epoch}\t{r.stage}\t{r.train_loss:.6f}\t{r.dev_wer:.4f}\t"
+                f"{r.decision.value}" for r in self.records]
+
+    @property
+    def dev_wers(self) -> list:
+        return [r.dev_wer for r in self.records]
 
 
 def corpus_fingerprint(corpus) -> str:
@@ -245,12 +267,8 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         return cfg, runner.submit(f"rendering epoch {cfg.epoch_index}",
                                   _render, cfg, state.stats)
 
-    def terminated():
-        return bool(controller.records) and \
-            controller.records[-1].decision is Decision.TERMINATE
-
     try:
-        while not terminated() and epochs_run != stop_after:
+        while not _terminated(state.records) and epochs_run != stop_after:
             epoch_index = controller.epoch_counter
             cfg = epoch_config(epoch_index, controller.stage_set)
             if pending is not None and pending[0] != cfg:
@@ -269,9 +287,8 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
                 # the next epoch in this stage, rendered by a worker meanwhile
                 # (with none, when it is taken); the stats never change once fit
                 pending = submit(epoch_config(epoch_index + 1, controller.stage_set))
-            state.train_losses.append(_train_epoch(
-                model, state.adam, config, train_corpus, encoded, epoch_index,
-                data.features))
+            loss = _train_epoch(model, state.adam, config, train_corpus, encoded,
+                                epoch_index, data.features)
             manifests.append(data.manifest)
             del data  # freed before the dev decode and the next epoch
             runner.slots.release(epoch_index % 2)
@@ -282,13 +299,19 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
                     dev_corpus, pool, state.stats, controller.stage_set,
                     config.master_seed, "dev", stage_index))
             hyps = decode_utterances(model, alphabet, dev[1], config.batch_size)
-            decision = controller.advance(corpus_wer(dev_refs, hyps),
+            dev_wer = corpus_wer(dev_refs, hyps)
+            decision = controller.advance(dev_wer,
                                           (model.copy_params(), model.param_hash()))
             if decision is not Decision.CONTINUE:
                 params, best_hash = controller.best_checkpoint
                 model.set_params(params)
-                state.switch_records.append(SwitchRecord(
-                    controller.epoch_counter, best_hash, model.param_hash()))
+                restored_hash = model.param_hash()
+                if restored_hash != best_hash:
+                    raise ComputeError(
+                        f"epoch {controller.epoch_counter}: restored weights hash "
+                        f"to {restored_hash}, the stage best to {best_hash}")
+            state.records.append(EpochRecord(controller.epoch_counter, stage_index,
+                                             loss, dev_wer, decision))
 
             if out_dir is not None:
                 manifests[-1].write(os.path.join(
@@ -299,35 +322,19 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
         if pending is not None:  # no task outlives the call
             pending[1].discard()
 
-    records = controller.records
-    log_lines = [f"{r.epoch}\t{r.stage}\t{loss:.6f}\t{r.dev_wer:.4f}\t{r.decision.value}"
-                 for r, loss in zip(records, state.train_losses)]
-
+    result = TrainResult(state.records, epochs_run, model, state.stats,
+                         controller.best_checkpoint[1], alphabet, manifests, max_live)
     if out_dir is not None:
         write_norm_stats(os.path.join(out_dir, "stats.feat"), state.stats)
         write_atomic(
-            (os.path.join(out_dir, "train_log.tsv"), ("\n".join(log_lines) + "\n").encode()),
+            (os.path.join(out_dir, "train_log.tsv"),
+             ("\n".join(result.log_lines) + "\n").encode()),
             (os.path.join(out_dir, "stage_log.tsv"), "".join(
                 f"{r.epoch}\t{r.stage}\t{r.dev_wer:.4f}\t{r.decision.value}\n"
-                for r in records).encode()))
+                for r in state.records).encode()))
         model.save_checkpoint(os.path.join(out_dir, "final.ckpt"),
                               controller.epoch_counter)
-
-    return TrainResult(
-        status="terminated" if terminated() else "stopped",
-        epochs_run=epochs_run,
-        log_lines=log_lines,
-        dev_wers=[r.dev_wer for r in records],
-        switch_records=state.switch_records,
-        stage_entry_count=1 + sum(r.decision is Decision.SWITCH_STAGE
-                                  for r in records),
-        model=model,
-        stats=state.stats,
-        best_hash=controller.best_checkpoint[1],
-        alphabet=alphabet,
-        manifests=manifests,
-        max_live_epochs=max_live,
-    )
+    return result
 
 
 def _train_epoch(model, adam: AdamState, config: TrainConfig, train_corpus,
@@ -359,7 +366,7 @@ def _train_epoch(model, adam: AdamState, config: TrainConfig, train_corpus,
 def _save_state(out_dir, fingerprint, state: RunState) -> None:
     """Save the run state as one state.npz in one write_atomic call: the
     arrays, and a `meta` member holding the rest as UTF-8 JSON bytes, so each
-    dev WER is kept exact."""
+    record's training loss and dev WER are kept exact."""
     controller = state.controller
     arrays = {}
     for k, v in state.model.params.items():
@@ -375,12 +382,10 @@ def _save_state(out_dir, fingerprint, state: RunState) -> None:
     meta = {
         "fingerprint": fingerprint,
         "adam_step": state.adam.step,
-        "stats_count": state.stats.sample_count,
         "controller": controller.to_state(),
         "best_hash": controller.best_checkpoint[1],
-        "train_losses": state.train_losses,
-        "switch_records": [[r.epoch, r.best_hash, r.restored_hash]
-                           for r in state.switch_records],
+        "epochs": [[r.epoch, r.stage, r.train_loss, r.dev_wer, r.decision.value]
+                   for r in state.records],
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     buffer = io.BytesIO()
@@ -392,8 +397,8 @@ def _load_state(out_dir, fingerprint, state: RunState) -> None:
     """Restore state from out_dir's state.npz. Every member's CRC-32 is
     checked before any is used: numpy reads a member only as far as its npy
     header says, so it skips the CRC check of a member whose header was
-    damaged. A damaged state, or one saved under another configuration,
-    raises DataError naming the file."""
+    damaged. A damaged state, one saved under another configuration, or one
+    in an earlier layout (no epoch records) raises DataError naming the file."""
     path = os.path.join(out_dir, STATE_FILE)
     with open(path, "rb") as fh:
         payload = fh.read()
@@ -409,6 +414,9 @@ def _load_state(out_dir, fingerprint, state: RunState) -> None:
                 raise DataError(
                     f"{out_dir}: saved run has fingerprint {meta['fingerprint']}, "
                     f"current configuration has {fingerprint}; refusing to resume")
+            if "epochs" not in meta:
+                raise DataError(f"{path} has no epoch records (an older state "
+                                "format); start a new run")
             _restore(meta, arrays, state)
     except DataError:
         raise
@@ -425,10 +433,9 @@ def _restore(meta: dict, arrays, state: RunState) -> None:
         adam.v[k] = arrays[f"adam_v:{k}"].copy()
     best = ({k: arrays[f"best:{k}"].copy() for k in model.params},
             meta["best_hash"])
-    state.stats = NormStats(arrays["stats:mean"].copy(),
-                            arrays["stats:std"].copy(), int(meta["stats_count"]))
+    state.stats = NormStats(arrays["stats:mean"].copy(), arrays["stats:std"].copy())
     adam.step = int(meta["adam_step"])
     state.controller.restore_state(meta["controller"], best_checkpoint=best)
-    state.train_losses.extend(meta["train_losses"])
-    state.switch_records.extend(SwitchRecord(e, b, r)
-                                for e, b, r in meta["switch_records"])
+    state.records.extend(
+        EpochRecord(int(e), int(s), float(loss), float(w), Decision(d))
+        for e, s, loss, w, d in meta["epochs"])

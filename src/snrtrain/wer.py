@@ -43,13 +43,6 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> int:
     return previous[-1]
 
 
-def word_error_rate(ref_words: Sequence, hyp_words: Sequence) -> float:
-    """Percent WER of one utterance; uncapped, so may exceed 100."""
-    if len(ref_words) == 0:
-        raise DataError("empty reference")
-    return 100.0 * edit_distance(ref_words, hyp_words) / len(ref_words)
-
-
 def condition_key(condition):
     """Canonical condition key: the CLEAN sentinel or a float dB value."""
     if condition == CLEAN:
@@ -96,8 +89,8 @@ def aggregate_ranges(points: Mapping, prose_full: bool = False) -> RangeAggregat
 
 def relative_improvement(baseline: float, method: float) -> float:
     """Percent WER decrease of method relative to baseline."""
-    if baseline <= 0:
-        raise DataError(f"baseline WER must be positive, got {baseline}")
+    if not (math.isfinite(baseline) and baseline > 0):
+        raise DataError(f"baseline WER must be finite and > 0, got {baseline}")
     return 100.0 * (baseline - method) / baseline
 
 

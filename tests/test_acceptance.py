@@ -25,8 +25,8 @@ import pytest
 import helpers
 import reference_wer_tables as tables
 from snrtrain.audio import NoisePool, Waveform, measure_snr_db, mixing_gain
-from snrtrain.curriculum import (DEFAULT_SNR_GRID, Schedule, StageController,
-                                 build_stages)
+from snrtrain.curriculum import (DEFAULT_SNR_GRID, Decision, Schedule,
+                                 StageController, build_stages)
 from snrtrain.errors import DataError
 from snrtrain.experiments import ComparisonSpec, run_comparison
 from snrtrain.features import FEATURE_DIM, fit_norm_stats, inject_gaussian, normalize
@@ -238,13 +238,15 @@ def test_curriculum_automaton():
         TrainConfig(master_seed=404, learning_rate=2e-3, batch_size=8,
                     hidden_size=24, gauss_sigma=0.6),
     )
-    assert result.switch_records
-    hashes_match = all(r.best_hash == r.restored_hash
-                       for r in result.switch_records)
+    restores = [r for r in result.records if r.decision is not Decision.CONTINUE]
+    assert restores
+    # train checks every restore's hash against the stage best's (a mismatch
+    # raises ComputeError); the last restore left the final weights
+    hashes_match = result.model.param_hash() == result.best_hash
     elapsed = time.time() - start
     report("curriculum-automaton", hashes_match,
            f"11 nested stages, switches at {switch_epochs}, "
-           f"{len(result.switch_records)} checkpoint restores hash-verified, "
+           f"{len(restores)} checkpoint restores hash-verified, "
            f"{elapsed:.2f}s")
     assert hashes_match
 

@@ -13,6 +13,7 @@ import snrtrain
 from snrtrain import cli
 from snrtrain.audio import Waveform, read_wav, write_wav
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
+from snrtrain.model import RecurrentCtcModel
 from snrtrain.task import SyntheticTask, make_corpus
 from snrtrain.wer import parse_report_values
 
@@ -181,7 +182,7 @@ class TestFeaturize:
         write_tone(wav)
         stats_path = tmp_path / "stats.feat"
         write_norm_stats(stats_path, NormStats(np.zeros(FEATURE_DIM),
-                                               np.ones(FEATURE_DIM), 1))
+                                               np.ones(FEATURE_DIM)))
         out = tmp_path / "out.feat"
         proc = run_cli("featurize", "--in", str(wav), "--stats", str(stats_path),
                        "--per-utt-stats", "--out", str(out))
@@ -210,7 +211,7 @@ class TestFeaturize:
         stats_path = tmp_path / "stats.feat"
         write_norm_stats(stats_path,
                          NormStats(np.full(FEATURE_DIM, 2.0),
-                                   np.full(FEATURE_DIM, 4.0), 1))
+                                   np.full(FEATURE_DIM, 4.0)))
         norm_out = tmp_path / "norm.feat"
         assert run_cli("featurize", "--in", str(wav), "--stats",
                        str(stats_path), "--out", str(norm_out)).returncode == 0
@@ -318,6 +319,20 @@ class TestScore:
         assert "improvement[high]" not in values
         assert {"improvement[full]", "improvement[low]",
                 "improvement[roi]"} <= values.keys()
+
+    @pytest.mark.parametrize("line", ["full=nan", "high=inf"])
+    def test_non_finite_baseline_exit_2(self, tmp_path, line):
+        ref, _ = build_condition_fixture(tmp_path, tables.PINK_BY_SNR,
+                                         "gauss_pem")
+        baseline = tmp_path / "baseline.txt"
+        baseline.write_text(line + "\n")
+        proc = run_cli("score", "--ref", str(ref), "--hyp", str(ref),
+                       "--by-condition", "--baseline", str(baseline))
+        assert proc.returncode == 2
+        value = line.split("=")[1]
+        assert f"baseline WER must be finite and > 0, got {value}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "improvement" not in proc.stdout
 
     def test_missing_condition_named(self, tmp_path):
         ref = tmp_path / "ref.txt"
@@ -504,22 +519,33 @@ class TestTrainCommand:
         assert proc.returncode == 0, proc.stderr
         assert "status=stopped" in proc.stdout
 
-    def test_state_in_line_format_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["controller_log_lines",
+                                        "three_lists"])
+    def test_state_in_line_format_exit_2(self, tmp_path, layout):
         path = write_train_config(tmp_path, kind="multicondition", patience=2,
                                   max_epochs=4)
         assert run_cli("train", "--config", str(path),
                        "--stop-after", "1").returncode == 0
         arrays = state_members(tmp_path / "run")
         meta = json.loads(arrays["meta"].tobytes())
-        # the earlier format held the controller's log as formatted lines
-        controller = meta["controller"]
-        controller["log_lines"] = [f"{e}\t{s}\t{w:.4f}\t{d}"
-                                   for e, s, w, d in controller.pop("records")]
+        epochs = meta.pop("epochs")
+        if layout == "controller_log_lines":
+            # the controller held its log as formatted lines
+            meta["controller"]["log_lines"] = [
+                f"{e}\t{s}\t{w:.4f}\t{d}" for e, s, _, w, d in epochs]
+        else:
+            # the controller's records, the training losses and the switch
+            # records, zipped back together by position
+            meta["controller"]["records"] = [[e, s, w, d] for e, s, _, w, d in epochs]
+            meta["train_losses"] = [loss for _, _, loss, _, _ in epochs]
+            meta["switch_records"] = []
+            meta["stats_count"] = 1
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(tmp_path / "run" / "state.npz", **arrays)
         proc = run_cli("train", "--config", str(path))
         assert proc.returncode == 2
-        assert "epoch records" in proc.stderr
+        assert "state.npz has no epoch records" in proc.stderr
+        assert "start a new run" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("damage", ["flipped_byte", "truncated_json",
@@ -649,6 +675,21 @@ def test_train_undecodable_input_exit_2_names_file(tmp_path, capsys, schedule_fi
     bad.write_bytes(UNDECODABLE)
     assert cli.main(["train", "--config", str(config_path)]) == 2
     assert f"error: {bad} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_restore_that_misses_the_stage_best_exit_1(tmp_path, capsys, monkeypatch):
+    config_path = write_train_config(tmp_path, max_epochs=3)
+    set_params = RecurrentCtcModel.set_params
+
+    def perturbing_set_params(self, params):
+        set_params(self, params)
+        self.params["b_out"][0] += 1.0
+
+    monkeypatch.setattr(RecurrentCtcModel, "set_params", perturbing_set_params)
+    assert cli.main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch ") and "restored weights" in err
+    assert "Traceback" not in err
 
 
 def test_help_documents_the_clean_grid(capsys):

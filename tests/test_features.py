@@ -135,7 +135,7 @@ class TestNormStats:
             fit_norm_stats([np.ones((1, FEATURE_DIM))])
 
     def test_identity_stats(self):
-        stats = NormStats(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM), 10)
+        stats = NormStats(np.zeros(FEATURE_DIM), np.ones(FEATURE_DIM))
         x = np.random.default_rng(0).normal(size=(4, FEATURE_DIM))
         np.testing.assert_array_equal(normalize(x, stats), x)
 
@@ -144,7 +144,7 @@ class TestNormStats:
         arrays = {"mean": np.zeros(FEATURE_DIM), "std": np.ones(FEATURE_DIM)}
         arrays[field][3] = value
         with pytest.raises(DataError, match="non-finite"):
-            NormStats(arrays["mean"], arrays["std"], 1)
+            NormStats(arrays["mean"], arrays["std"])
 
     def test_per_utterance_mode(self):
         x = np.random.default_rng(1).normal(3.0, 2.0, size=(40, FEATURE_DIM))
@@ -217,7 +217,7 @@ class TestFeatureFile:
     def test_stats_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         stats = NormStats(rng.normal(size=FEATURE_DIM),
-                          rng.uniform(0.5, 2.0, size=FEATURE_DIM), 42)
+                          rng.uniform(0.5, 2.0, size=FEATURE_DIM))
         path = tmp_path / "stats.feat"
         write_norm_stats(path, stats)
         back = read_norm_stats(path)

@@ -17,7 +17,7 @@ import pytest
 from helpers import file_digests, watch_generation
 from snrtrain import features, model, pem, trainer, wer, workers
 from snrtrain.audio import CLEAN, NoisePool, Waveform
-from snrtrain.curriculum import Schedule
+from snrtrain.curriculum import Decision, Schedule
 from snrtrain.errors import ComputeError, DataError
 from snrtrain.noise import pink_pool_waveform
 from snrtrain.task import SyntheticTask, Utterance, make_corpus, synth_utterance
@@ -48,6 +48,12 @@ def tiny_model(tiny_setup):
     train_corpus, dev_corpus, pool = tiny_setup
     schedule = Schedule("multicondition", patience=2, max_epochs=3)
     return train(train_corpus, dev_corpus, schedule, pool, tiny_config())
+
+
+def restore_epochs(result) -> list:
+    """The epochs after which the run restored its stage-best weights: each
+    switch and the termination."""
+    return [r.epoch for r in result.records if r.decision is not Decision.CONTINUE]
 
 
 def two_cpus(monkeypatch, cpus=2):
@@ -148,8 +154,7 @@ def test_dev_wers_are_exact_and_logs_round_them(tiny_setup, tmp_path):
                    out_dir=tmp_path)
     with np.load(tmp_path / "state.npz") as arrays:
         meta = json.loads(arrays["meta"].tobytes())
-    records = meta["controller"]["records"]
-    assert result.dev_wers == [wer for _, _, wer, _ in records]
+    assert result.dev_wers == [wer for _, _, _, wer, _ in meta["epochs"]]
     train_log = (tmp_path / "train_log.tsv").read_text().splitlines()
     stage_log = (tmp_path / "stage_log.tsv").read_text().splitlines()
     assert train_log == result.log_lines
@@ -164,13 +169,26 @@ def test_stage_switch_restores_stage_best_weights(tiny_setup):
     train_corpus, dev_corpus, pool = tiny_setup
     schedule = Schedule("accan", patience=1, max_epochs=10)
     result = train(train_corpus, dev_corpus, schedule, pool, tiny_config())
-    assert result.switch_records
-    for record in result.switch_records:
-        assert record.best_hash == record.restored_hash
-    assert result.stage_entry_count >= 2
+    # train checks each restore's hash against the stage best's
+    assert any(r.decision is Decision.SWITCH_STAGE for r in result.records)
     # the terminating epoch restores the last stage's best weights too
     assert result.model.param_hash() == result.best_hash
-    assert result.switch_records[-1].epoch == result.epochs_run
+    assert restore_epochs(result)[-1] == result.epochs_run
+
+
+def test_restore_that_misses_the_stage_best_is_a_compute_error(tiny_setup,
+                                                               monkeypatch):
+    train_corpus, dev_corpus, pool = tiny_setup
+    set_params = model.RecurrentCtcModel.set_params
+
+    def perturbing_set_params(self, params):
+        set_params(self, params)
+        self.params["b_out"][0] += 1.0
+
+    monkeypatch.setattr(model.RecurrentCtcModel, "set_params", perturbing_set_params)
+    schedule = Schedule("accan", patience=1, max_epochs=5)
+    with pytest.raises(ComputeError, match="epoch 2: restored weights"):
+        train(train_corpus, dev_corpus, schedule, pool, tiny_config(master_seed=5))
 
 
 def test_dev_wer_positive_and_logged(tiny_setup):
@@ -229,7 +247,7 @@ def test_crashed_run_resumes_from_its_last_epoch(tiny_setup, tmp_path,
     full = train(train_corpus, dev_corpus, schedule, pool, tiny_config(),
                  out_dir=full_dir)
     # the resumed part restores stage-best weights at a switch and at the stop
-    assert full.epochs_run == 10 and len(full.switch_records) == 2
+    assert full.epochs_run == 10 and len(restore_epochs(full)) == 2
 
     crashed_dir = tmp_path / "crashed"
     calls = []
@@ -341,8 +359,24 @@ def test_crash_at_every_write_resumes_into_the_uninterrupted_files(
     run = crash_sweep_run(tiny_setup)
     full_dir = tmp_path / "full"
     full = run(full_dir)
-    assert [r.epoch for r in full.switch_records] == [2, 5]
+    assert restore_epochs(full) == [2, 5]
     sweep_crashes(run, tmp_path, monkeypatch, full_dir, full, stopped_first)
+
+
+def test_records_round_trip_exactly_through_the_state(tiny_setup, tmp_path):
+    run = crash_sweep_run(tiny_setup)
+    full = run(tmp_path)
+    assert restore_epochs(full) == [2, 5]
+    with np.load(tmp_path / "state.npz") as arrays:
+        meta = json.loads(arrays["meta"].tobytes())
+    assert meta["epochs"] == [[r.epoch, r.stage, r.train_loss, r.dev_wer,
+                               r.decision.value] for r in full.records]
+    # the run is terminated, so a rerun only restores its records
+    rerun = run(tmp_path)
+    assert rerun.epochs_run == 0 and rerun.records == full.records
+    # the logs round both values; the records keep them exact
+    assert any(float(f"{r.train_loss:.6f}") != r.train_loss for r in full.records)
+    assert any(float(f"{r.dev_wer:.4f}") != r.dev_wer for r in full.records)
 
 
 def test_resume_rejects_changed_config(tiny_setup, tmp_path):
@@ -399,8 +433,8 @@ def test_flipped_state_byte_restores_the_same_state_or_is_refused(tiny_setup, tm
             refused.add(offset)
             continue
         assert outputs() == expected, (offset, mask)
-        assert (result.best_hash, result.switch_records) == \
-            (untouched.best_hash, untouched.switch_records), (offset, mask)
+        assert (result.best_hash, result.records) == \
+            (untouched.best_hash, untouched.records), (offset, mask)
     assert refused >= set(digits)
 
 
@@ -498,7 +532,7 @@ def test_only_the_current_stage_dev_set_is_kept(tiny_setup, monkeypatch):
     schedule = Schedule("accan", patience=1, max_epochs=5)
     result = train(train_corpus, dev_corpus, schedule, pool,
                    tiny_config(master_seed=5))
-    assert [r.epoch for r in result.switch_records] == [2, 5]
+    assert restore_epochs(result) == [2, 5]
     assert [len(refs) for refs in stages] == [len(dev_corpus)] * 2
     assert alive_at_entry == [0, 0]
 
@@ -512,7 +546,7 @@ def test_each_epoch_is_freed_before_the_next_is_generated(tiny_setup, monkeypatc
     out_dir = tmp_path / "run"
     result = train(train_corpus, dev_corpus, schedule, pool,
                    tiny_config(master_seed=5), out_dir=out_dir)
-    assert [r.epoch for r in result.switch_records] == [2, 5]
+    assert restore_epochs(result) == [2, 5]
     assert [cfg.epoch_index for cfg, _ in made] == [0, 1, 2, 3, 4]
     assert result.max_live_epochs == 1
     # resuming the terminated run generates no epoch
@@ -529,7 +563,7 @@ def test_epoch_after_a_switch_draws_from_the_wider_stage(tiny_setup, monkeypatch
     schedule = Schedule("accan", patience=1, max_epochs=5)
     result = train(train_corpus, dev_corpus, schedule, pool,
                    tiny_config(master_seed=5))
-    assert result.switch_records[0].epoch == 2  # epoch 2 opens stage 1
+    assert restore_epochs(result)[0] == 2  # epoch 2 opens stage 1
     stages = [set(cfg.stage_snr_set) for cfg, _ in made]
     drawn = [{r.snr for r in m.records} for m in result.manifests]
     assert stages[0] == stages[1] < stages[2]
@@ -766,7 +800,7 @@ task = SyntheticTask()
 corpus = make_corpus(task, 4, seed=1)
 alphabet = trainer.alphabet_from_corpora(corpus)
 model = RecurrentCtcModel(ModelConfig(alphabet.num_outputs, hidden_size=8))
-stats = NormStats(np.zeros(123), np.ones(123), 1)
+stats = NormStats(np.zeros(123), np.ones(123))
 pool = NoisePool(pink_pool_waveform(2.0, task.sample_rate_hz, seed=1))
 evaluate = lambda: trainer.evaluate_condition_wer(
     model, alphabet, stats, corpus, pool, -5.0, 1, batch_size=2)
@@ -958,7 +992,7 @@ def test_workers_render_each_trained_epoch_once_and_none_past_the_end(
     # switch to stage 1, is rendered again; epoch 4 is the last (max_epochs 5)
     accan = Schedule("accan", patience=1, max_epochs=5)
     result, made = run(accan)
-    assert [r.epoch for r in result.switch_records] == [2, 5]
+    assert restore_epochs(result) == [2, 5]
     assert result.max_live_epochs == 1
     stage0, stage1 = made[0][1], made[-1][1]
     assert stage0 < stage1

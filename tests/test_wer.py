@@ -8,7 +8,7 @@ from snrtrain.wer import (CONDITIONS, aggregate_ranges, condition_of_id,
                           corpus_wer, edit_distance, format_report,
                           parse_report_values, read_transcripts,
                           relative_improvement, wer_by_condition,
-                          word_error_rate, write_transcripts)
+                          write_transcripts)
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
 
@@ -26,20 +26,24 @@ class TestEditDistance:
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
+def one_utterance_wer(ref_words, hyp_words) -> float:
+    return corpus_wer({"u": tuple(ref_words)}, {"u": tuple(hyp_words)})
+
+
 class TestWordErrorRate:
     def test_identical_is_zero(self):
-        assert word_error_rate(["the", "cat"], ["the", "cat"]) == 0.0
+        assert one_utterance_wer(["the", "cat"], ["the", "cat"]) == 0.0
 
     def test_exceeds_100_when_hyp_longer(self):
         # 2 substitutions + 3 insertions against a 2-word reference
-        assert word_error_rate(["a", "b"], ["x", "y", "z", "w", "v"]) == 250.0
+        assert one_utterance_wer(["a", "b"], ["x", "y", "z", "w", "v"]) == 250.0
 
     def test_empty_hypothesis_all_deletions(self):
-        assert word_error_rate(["a", "b", "c"], []) == 100.0
+        assert one_utterance_wer(["a", "b", "c"], []) == 100.0
 
     def test_empty_reference_rejected(self):
         with pytest.raises(DataError, match="empty reference"):
-            word_error_rate([], ["a"])
+            one_utterance_wer([], ["a"])
 
 
 class TestAggregateRanges:
@@ -108,6 +112,11 @@ class TestRelativeImprovement:
     def test_nonpositive_baseline_rejected(self):
         with pytest.raises(DataError):
             relative_improvement(0.0, 10.0)
+
+    @pytest.mark.parametrize("baseline", [float("nan"), float("inf")])
+    def test_non_finite_baseline_rejected(self, baseline):
+        with pytest.raises(DataError, match="finite"):
+            relative_improvement(baseline, 10.0)
 
 
 class TestTranscripts:
