@@ -80,20 +80,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if not args.by_condition and (args.baseline is not None or args.prose_full):
+        flag = "--baseline" if args.baseline is not None else "--prose-full"
+        raise DataError(f"{flag} needs --by-condition")
     refs = wer.read_transcripts(args.ref)
     hyps = wer.read_transcripts(args.hyp)
-    if not args.by_condition:
-        overall = wer.corpus_wer(refs, hyps)
-        print(f"wer={overall:.4f}")
-        return 0
-    points = wer.wer_by_condition(refs, hyps)
-    aggregates = wer.aggregate_ranges(points, prose_full=args.prose_full)
-    baseline_values = None
-    baseline_name = ""
-    if args.baseline is not None:
-        baseline_values = wer.parse_report_values(read_text(args.baseline))
-        baseline_name = args.baseline
-    report = wer.format_report(points, aggregates, baseline_values, baseline_name)
+    if args.by_condition:
+        points = wer.wer_by_condition(refs, hyps)
+        baseline = (None if args.baseline is None
+                    else wer.parse_report_values(read_text(args.baseline)))
+        report = wer.format_report(
+            points, wer.aggregate_ranges(points, prose_full=args.prose_full),
+            baseline, args.baseline or "")
+    else:
+        report = f"wer={wer.corpus_wer(refs, hyps):.4f}\n"
     if args.out is not None:
         write_atomic((args.out, report.encode("utf-8")))
     print(report, end="")

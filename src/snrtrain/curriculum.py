@@ -12,7 +12,8 @@ The controller tracks dev WER per stage; when it fails to improve for
 `patience` consecutive epochs the stage switches, training resumes from the
 stage-best weights, and the improvement tracking resets. On the last stage
 the same rule terminates the run, as does a total epoch cap. The controller
-keeps no log: the trainer's EpochRecord list is the curriculum's trace.
+keeps no log and saves no state: the trainer's EpochRecord list is the
+curriculum's trace, and replaying its dev WERs rebuilds the controller.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .errors import DataError, check_keys, field_value, read_text
 
 DEFAULT_SNR_GRID: tuple = tuple(float(v) for v in range(0, 55, 5))
 KINDS = ("multicondition", "accan", "accan_reversed")
+# 0.05 dB steps over 0..50 dB; accan holds n(n+1)/2 stage entries for n values
+MAX_GRID_VALUES = 1001
 DEFAULT_MAX_EPOCHS = {"multicondition": 150, "accan": 300, "accan_reversed": 300}
 
 
@@ -101,7 +104,8 @@ class StageController:
     the caller tracks weights) a checkpoint handle to record on strict
     improvement, and returns its decision. On SWITCH_STAGE and TERMINATE the
     caller should restore best_checkpoint; the controller never hands out
-    anything else. It keeps no log: the caller records each epoch.
+    anything else. It keeps no log: the caller records each epoch, and a
+    fresh controller advanced by the recorded dev WERs is the run's again.
     """
 
     schedule: Schedule
@@ -145,21 +149,6 @@ class StageController:
         self.epochs_since_improvement = 0
         return Decision.SWITCH_STAGE
 
-    def to_state(self) -> dict:
-        return {
-            "stage_index": self.stage_index,
-            "best_metric": self.best_metric,
-            "epochs_since_improvement": self.epochs_since_improvement,
-            "epoch_counter": self.epoch_counter,
-        }
-
-    def restore_state(self, state: dict, best_checkpoint=None) -> None:
-        self.stage_index = int(state["stage_index"])
-        self.best_metric = float(state["best_metric"])
-        self.epochs_since_improvement = int(state["epochs_since_improvement"])
-        self.epoch_counter = int(state["epoch_counter"])
-        self.best_checkpoint = best_checkpoint
-
 
 # --- schedule fields ---------------------------------------------------------
 #
@@ -188,7 +177,10 @@ def grid_from_endpoints(snr_min: float, snr_max: float, snr_step: float) -> tupl
         raise DataError(f"snr_step must be positive, got {snr_step}")
     if snr_max < snr_min:
         raise DataError(f"snr_max {snr_max} below snr_min {snr_min}")
-    count = int(round((snr_max - snr_min) / snr_step))
+    span = (snr_max - snr_min) / snr_step
+    if not span < MAX_GRID_VALUES - 0.5:  # inf when the span overflows
+        raise DataError(f"snr_step {snr_step} makes more than {MAX_GRID_VALUES} grid values")
+    count = int(round(span))
     grid = tuple(snr_min + i * snr_step for i in range(count + 1))
     if abs(grid[-1] - snr_max) > 1e-9:
         raise DataError(f"snr range [{snr_min}, {snr_max}] is not a multiple of {snr_step}")

@@ -12,13 +12,13 @@ and ADAM_EPS.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, read_payload, write_atomic
+from .seeding import digest
 
 PARAM_ORDER = ("w_in", "w_rec", "b_rec", "w_out", "b_out")
 
@@ -142,10 +142,8 @@ class RecurrentCtcModel:
             self.params[k] = params[k].copy()
 
     def param_hash(self) -> str:
-        digest = hashlib.blake2b(digest_size=8)
-        for k in PARAM_ORDER:
-            digest.update(self.params[k].astype(np.float64).tobytes())
-        return digest.hexdigest()
+        return digest(b"".join(self.params[k].astype(np.float64).tobytes()
+                               for k in PARAM_ORDER)).hex()
 
     def num_params(self) -> int:
         return sum(v.size for v in self.params.values())

@@ -19,7 +19,6 @@ each with its own seed parts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 from . import audio, curriculum, features
 from .audio import NoisePool, mix_at_snr, segment_at
 from .errors import ComputeError, DataError, field_value, read_text, write_atomic
-from .seeding import derive_seed, derived_rng
+from .seeding import derive_seed, derived_rng, digest
 from .wer import condition_key, format_condition
 
 MANIFEST_HEADER = "# pem-manifest v1"
@@ -63,7 +62,7 @@ class EpochConfig:
             },
             sort_keys=True,
         )
-        return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
+        return digest(payload.encode()).hex()
 
 
 def injection_seed(master_seed: int, epoch_index: int, utt_id: str) -> int:
@@ -73,7 +72,7 @@ def injection_seed(master_seed: int, epoch_index: int, utt_id: str) -> int:
 def feature_checksum(values: np.ndarray) -> str:
     """64-bit hash over the canonical float32 little-endian feature bytes."""
     payload = np.ascontiguousarray(values, dtype="<f4").tobytes()
-    return hashlib.blake2b(payload, digest_size=8).hexdigest()
+    return digest(payload).hex()
 
 
 # slots: a run keeps every record, and records unpickled from a worker

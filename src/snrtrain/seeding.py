@@ -12,11 +12,15 @@ import hashlib
 import numpy as np
 
 
+def digest(data: bytes) -> bytes:
+    """The 8-byte blake2b digest behind every seed, fingerprint and checksum."""
+    return hashlib.blake2b(data, digest_size=8).digest()
+
+
 def derive_seed(*parts) -> int:
     """64-bit seed from a tuple of hashable parts (ints, strings, floats)."""
     text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(digest(text.encode("utf-8")), "little")
 
 
 def derived_rng(*parts) -> np.random.Generator:

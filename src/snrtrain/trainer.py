@@ -6,7 +6,8 @@ into a shared slot, train its batches, free it, decode the dev set, advance
 the stage controller, append the epoch's EpochRecord and save the state. The
 EpochRecord list is the run's only per-epoch record: train_log.tsv and
 stage_log.tsv are its two line formats, state.npz stores it and TrainResult
-carries it. Renders are tasks of workers.runner: a worker renders epoch N+1
+carries it; a resumed run replays it through a fresh stage controller and
+refuses a record the schedule would not produce. Renders are tasks of workers.runner: a worker renders epoch N+1
 in epoch N's stage while the parent trains epoch N (with no worker, the
 parent renders it when taken), and a stage switch in between has it
 rendered again in the new stage. The parent holds one epoch at a time.
@@ -18,7 +19,6 @@ and one per worker.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -36,7 +36,7 @@ from .curriculum import Decision, Schedule, StageController
 from .errors import ComputeError, DataError, write_atomic
 from .features import NormStats, normalize, write_norm_stats
 from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
-from .seeding import derive_seed, derived_rng
+from .seeding import derive_seed, derived_rng, digest
 from .wer import corpus_wer, format_condition
 
 STATE_FILE = "state.npz"
@@ -77,7 +77,7 @@ class TrainConfig:
             },
             sort_keys=True,
         )
-        return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
+        return digest(payload.encode()).hex()
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,8 @@ class TrainResult:
 
 
 def corpus_fingerprint(corpus) -> str:
-    digest = hashlib.blake2b(digest_size=8)
-    for u in corpus:
-        digest.update(f"{u.utt_id}:{' '.join(u.words)}\n".encode())
-    return digest.hexdigest()
+    return digest("".join(f"{u.utt_id}:{' '.join(u.words)}\n"
+                          for u in corpus).encode()).hex()
 
 
 def alphabet_from_corpora(*corpora) -> LabelAlphabet:
@@ -382,7 +380,6 @@ def _save_state(out_dir, fingerprint, state: RunState) -> None:
     meta = {
         "fingerprint": fingerprint,
         "adam_step": state.adam.step,
-        "controller": controller.to_state(),
         "best_hash": controller.best_checkpoint[1],
         "epochs": [[r.epoch, r.stage, r.train_loss, r.dev_wer, r.decision.value]
                    for r in state.records],
@@ -417,7 +414,7 @@ def _load_state(out_dir, fingerprint, state: RunState) -> None:
             if "epochs" not in meta:
                 raise DataError(f"{path} has no epoch records (an older state "
                                 "format); start a new run")
-            _restore(meta, arrays, state)
+            _restore(meta, arrays, state, path)
     except DataError:
         raise
     except Exception as err:  # zipfile, zlib, numpy and json each raise their own types
@@ -425,17 +422,25 @@ def _load_state(out_dir, fingerprint, state: RunState) -> None:
                         "refusing to resume") from None
 
 
-def _restore(meta: dict, arrays, state: RunState) -> None:
+def _restore(meta: dict, arrays, state: RunState, path) -> None:
+    """Load the arrays and records into state, replaying each record's dev WER
+    through its fresh controller. A record whose epoch, stage or decision the
+    replay does not reproduce raises DataError naming path and the epoch."""
     model, adam = state.model, state.adam
     for k in model.params:
         model.params[k] = arrays[f"param:{k}"].copy()
         adam.m[k] = arrays[f"adam_m:{k}"].copy()
         adam.v[k] = arrays[f"adam_v:{k}"].copy()
-    best = ({k: arrays[f"best:{k}"].copy() for k in model.params},
-            meta["best_hash"])
     state.stats = NormStats(arrays["stats:mean"].copy(), arrays["stats:std"].copy())
     adam.step = int(meta["adam_step"])
-    state.controller.restore_state(meta["controller"], best_checkpoint=best)
-    state.records.extend(
-        EpochRecord(int(e), int(s), float(loss), float(w), Decision(d))
-        for e, s, loss, w, d in meta["epochs"])
+    controller = state.controller
+    for e, s, loss, w, d in meta["epochs"]:
+        record = EpochRecord(int(e), int(s), float(loss), float(w), Decision(d))
+        if (_terminated(state.records) or record.epoch != controller.epoch_counter + 1
+                or record.stage != controller.stage_index or not record.dev_wer >= 0
+                or controller.advance(record.dev_wer) is not record.decision):
+            raise DataError(f"{path}: epoch {len(state.records) + 1} of the saved records "
+                            "does not replay under this schedule; refusing to resume")
+        state.records.append(record)
+    controller.best_checkpoint = (
+        {k: arrays[f"best:{k}"].copy() for k in model.params}, meta["best_hash"])

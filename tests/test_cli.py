@@ -12,6 +12,7 @@ import reference_wer_tables as tables
 import snrtrain
 from snrtrain import cli
 from snrtrain.audio import Waveform, read_wav, write_wav
+from snrtrain.curriculum import Schedule, StageController
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
 from snrtrain.model import RecurrentCtcModel
 from snrtrain.task import SyntheticTask, make_corpus
@@ -334,6 +335,29 @@ class TestScore:
         assert "Traceback" not in proc.stderr
         assert "improvement" not in proc.stdout
 
+    def test_out_without_by_condition_writes_the_report(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        hyp = tmp_path / "hyp.txt"
+        ref.write_text("u1 a b c\nu2 d a\n")
+        hyp.write_text("u1 a b\nu2 d a\n")
+        out = tmp_path / "report.txt"
+        assert cli.main(["score", "--ref", str(ref), "--hyp", str(hyp),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text() == "wer=20.0000\n"
+
+    @pytest.mark.parametrize("flag", [["--baseline", "nonexistent.txt"],
+                                      ["--prose-full"]])
+    def test_condition_flag_without_by_condition_exit_2(self, tmp_path, capsys,
+                                                        flag):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("u1 a b c\n")
+        out = tmp_path / "report.txt"
+        assert cli.main(["score", "--ref", str(ref), "--hyp", str(ref),
+                         "--out", str(out), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag[0]} needs --by-condition\n"
+        assert captured.out == "" and not out.exists()
+
     def test_missing_condition_named(self, tmp_path):
         ref = tmp_path / "ref.txt"
         ref.write_text("u1@0 a b\nu1@clean a b\n")
@@ -529,14 +553,15 @@ class TestTrainCommand:
         arrays = state_members(tmp_path / "run")
         meta = json.loads(arrays["meta"].tobytes())
         epochs = meta.pop("epochs")
+        controller = meta.setdefault("controller", {})
         if layout == "controller_log_lines":
             # the controller held its log as formatted lines
-            meta["controller"]["log_lines"] = [
+            controller["log_lines"] = [
                 f"{e}\t{s}\t{w:.4f}\t{d}" for e, s, _, w, d in epochs]
         else:
             # the controller's records, the training losses and the switch
             # records, zipped back together by position
-            meta["controller"]["records"] = [[e, s, w, d] for e, s, _, w, d in epochs]
+            controller["records"] = [[e, s, w, d] for e, s, _, w, d in epochs]
             meta["train_losses"] = [loss for _, _, loss, _, _ in epochs]
             meta["switch_records"] = []
             meta["stats_count"] = 1
@@ -547,6 +572,67 @@ class TestTrainCommand:
         assert "state.npz has no epoch records" in proc.stderr
         assert "start a new run" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit", ["flipped_decision", "changed_stage",
+                                      "changed_epoch", "dropped_record"])
+    def test_record_that_does_not_replay_exit_2(self, tmp_path, edit):
+        path = write_train_config(tmp_path, max_epochs=8)
+        assert run_cli("train", "--config", str(path),
+                       "--stop-after", "4").returncode == 0
+        arrays = state_members(tmp_path / "run")
+        meta = json.loads(arrays["meta"].tobytes())
+        second = meta["epochs"][1]  # each edit is first seen at epoch 2
+        if edit == "flipped_decision":
+            second[4] = "switch_stage" if second[4] == "continue" else "continue"
+        elif edit == "changed_stage":
+            second[1] += 1
+        elif edit == "changed_epoch":
+            second[0] = 5
+        else:
+            del meta["epochs"][1]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "run" / "state.npz", **arrays)  # with valid CRCs
+        proc = run_cli("train", "--config", str(path))
+        assert proc.returncode == 2
+        assert "state.npz: epoch 2 of the saved records does not replay" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_state_with_the_controller_counters_resumes(self, tmp_path):
+        full_cfg = write_train_config(tmp_path / "full", max_epochs=6)
+        assert run_cli("train", "--config", str(full_cfg)).returncode == 0
+        part_cfg = write_train_config(tmp_path / "part", max_epochs=6)
+        assert run_cli("train", "--config", str(part_cfg),
+                       "--stop-after", "2").returncode == 0
+        run_dir = tmp_path / "part" / "run"
+        arrays = state_members(run_dir)
+        meta = json.loads(arrays["meta"].tobytes())
+        assert list(meta) == ["fingerprint", "adam_step", "best_hash", "epochs"]
+        # the layout that also saved the stage controller's four counters
+        controller = StageController(Schedule("accan", patience=1, max_epochs=6))
+        for _, _, _, wer, _ in meta["epochs"]:
+            controller.advance(wer)
+        meta["controller"] = {
+            "stage_index": controller.stage_index,
+            "best_metric": controller.best_metric,
+            "epochs_since_improvement": controller.epochs_since_improvement,
+            "epoch_counter": controller.epoch_counter}
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(run_dir / "state.npz", **arrays)
+        assert run_cli("train", "--config", str(part_cfg)).returncode == 0
+        assert helpers.file_digests(run_dir) == \
+            helpers.file_digests(tmp_path / "full" / "run")
+
+    def test_schedule_grid_over_the_bound_exit_2(self, tmp_path):
+        config_path = write_train_config(tmp_path)
+        (tmp_path / "schedule.txt").write_text("kind = accan\nsnr_step = 1e-9\n")
+        config = json.loads(config_path.read_text())
+        config["schedule"] = "schedule.txt"
+        config_path.write_text(json.dumps(config))
+        proc = run_cli("train", "--config", str(config_path))
+        assert proc.returncode == 2
+        assert "snr_step 1e-09" in proc.stderr and "1001" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("damage", ["flipped_byte", "truncated_json",
                                         "no_adam_step", "top_level_list",
@@ -717,9 +803,9 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
-def test_only_workers_imports_process_machinery():
-    machinery = {"multiprocessing", "concurrent", "mmap", "ctypes"}
-    importers = set()
+def importers(modules) -> set:
+    """The src/snrtrain files that import any of the top-level `modules`."""
+    found = set()
     for path in Path(snrtrain.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -728,9 +814,18 @@ def test_only_workers_imports_process_machinery():
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] in machinery for name in names):
-                importers.add(path.name)
-    assert importers == {"workers.py"}
+            if any(name.split(".")[0] in modules for name in names):
+                found.add(path.name)
+    return found
+
+
+def test_only_workers_imports_process_machinery():
+    assert importers({"multiprocessing", "concurrent", "mmap", "ctypes"}) == \
+        {"workers.py"}
+
+
+def test_only_seeding_imports_hashlib():
+    assert importers({"hashlib"}) == {"seeding.py"}
 
 
 def test_import_loads_no_scipy():

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import helpers
 from snrtrain.audio import CLEAN
-from snrtrain.curriculum import (DEFAULT_SNR_GRID, Decision, Schedule,
-                                 StageController, build_stages,
+from snrtrain.curriculum import (DEFAULT_SNR_GRID, MAX_GRID_VALUES, Decision,
+                                 Schedule, StageController, build_stages,
                                  grid_from_endpoints, parse_schedule_file,
                                  sample_snr, schedule_from_fields)
 from snrtrain.errors import DataError
@@ -156,21 +156,20 @@ class TestController:
 
     def test_state_round_trip(self):
         controller = StageController(Schedule("accan", patience=2))
-        for wer in (9.0, 1 / 3, 8.5):
-            controller.advance(wer, checkpoint="ck")
+        wers = (9.0, 1 / 3, 8.5)
+        decisions = [controller.advance(wer, checkpoint="ck") for wer in wers]
 
         def fields(c):
             return (c.stage_index, c.best_metric, c.epochs_since_improvement,
                     c.epoch_counter)
 
-        # stored as JSON numbers; the best WER survives exactly
-        state = json.loads(json.dumps(controller.to_state()))
-        assert state["best_metric"] == 1 / 3
-        for saved in (controller.to_state(), state):
-            clone = StageController(Schedule("accan", patience=2))
-            clone.restore_state(saved, best_checkpoint="ck")
-            assert fields(clone) == fields(controller) == (0, 1 / 3, 1, 3)
-            assert clone.best_checkpoint == "ck"
+        # the dev WERs are stored as JSON numbers, and replaying them into a
+        # fresh controller rebuilds it; the best WER survives exactly
+        clone = StageController(Schedule("accan", patience=2))
+        assert [clone.advance(wer)
+                for wer in json.loads(json.dumps(wers))] == decisions
+        assert clone.best_metric == 1 / 3
+        assert fields(clone) == fields(controller) == (0, 1 / 3, 1, 3)
 
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=60),
            st.integers(1, 5))
@@ -239,6 +238,19 @@ class TestScheduleFile:
     def test_bad_step_rejected(self):
         with pytest.raises(DataError):
             grid_from_endpoints(0.0, 50.0, 7.0)
+
+    def test_finest_grid_accepted(self):
+        grid = grid_from_endpoints(0.0, 50.0, 0.05)
+        assert len(grid) == MAX_GRID_VALUES == 1001
+        assert grid[0] == 0.0 and abs(grid[-1] - 50.0) < 1e-9
+
+    @pytest.mark.parametrize("snr_min, snr_max, snr_step", [
+        (0.0, 50.0, 0.01), (0.0, 50.0, 1e-9),
+        (-1e308, 1e308, 5.0)])  # the span overflows to inf
+    def test_grid_over_the_bound_refused_before_it_is_built(self, snr_min,
+                                                           snr_max, snr_step):
+        with pytest.raises(DataError, match="snr_step .* more than 1001 grid values"):
+            grid_from_endpoints(snr_min, snr_max, snr_step)
 
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "schedule.txt"

@@ -379,6 +379,22 @@ def test_records_round_trip_exactly_through_the_state(tiny_setup, tmp_path):
     assert any(float(f"{r.dev_wer:.4f}") != r.dev_wer for r in full.records)
 
 
+def test_record_after_the_termination_is_refused(tiny_setup, tmp_path):
+    run = crash_sweep_run(tiny_setup)
+    full = run(tmp_path)
+    assert full.status == "terminated"
+    state_path = tmp_path / "state.npz"
+    with np.load(state_path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    # at the epoch cap every further epoch replays as a termination too
+    meta["epochs"].append([6] + meta["epochs"][-1][1:])
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(state_path, **arrays)
+    with pytest.raises(DataError, match="state.npz: epoch 6 of the saved records"):
+        run(tmp_path)
+
+
 def test_resume_rejects_changed_config(tiny_setup, tmp_path):
     train_corpus, dev_corpus, pool = tiny_setup
     schedule = Schedule("multicondition", patience=2, max_epochs=4)
