@@ -4,24 +4,55 @@ SNR is defined over full-utterance RMS. Mixing adds a scaled noise segment
 to the signal; no clipping or renormalization is applied afterwards, so
 amplitudes may leave [-1, 1] and the achieved component SNR stays exact.
 
+An SNR condition is a finite dB value or CLEAN, which orders above every
+dB value; condition_key parses one for grids, manifests, transcript tags
+and `mix --snr` alike, and format_condition prints it.
+
 WAV I/O goes through scipy's wavfile, imported on first use inside
 read_wav and write_wav: nothing else in the package needs scipy, so
-importing snrtrain does not load it.
+importing snrtrain does not load it. A WAV cut short of its header's size
+raises DataError, and write_wav writes atomically.
 """
 
 from __future__ import annotations
 
+import io
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, write_atomic
 
 # Sentinel for the unmixed condition. A string rather than +inf dB keeps
 # manifests, schedules and reports trivially serializable.
 CLEAN = "clean"
 
 INT16_SCALE = 32768.0
+
+
+def condition_key(condition):
+    """Canonical condition key: the CLEAN sentinel or a float dB value."""
+    if condition == CLEAN:
+        return CLEAN
+    try:
+        value = float(condition)
+    except (TypeError, ValueError):
+        raise DataError(f"unknown condition {condition!r}: expected a dB value "
+                        f"or {CLEAN!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"condition {condition!r} is not a finite SNR in dB")
+    return value
+
+
+def condition_order(condition) -> float:
+    """Sort key of a condition key: its dB value, with CLEAN above them all."""
+    return math.inf if condition == CLEAN else float(condition)
+
+
+def format_condition(condition) -> str:
+    return CLEAN if condition == CLEAN else f"{float(condition):g}"
 
 
 @dataclass(frozen=True)
@@ -130,7 +161,9 @@ def read_wav(path) -> Waveform:
     A file that is not a well-formed WAV raises DataError naming the path."""
     from scipy.io import wavfile
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():  # scipy only warns on data cut short
+            warnings.filterwarnings("error", "Reached EOF", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except OSError:
         raise  # missing, a directory or not permitted: not a format fault
     except Exception as err:  # scipy raises many kinds on a malformed file
@@ -154,9 +187,11 @@ def write_wav(path, w: Waveform, sample_format: str = "float32") -> None:
     """Write a mono WAV file as 32-bit float (default) or 16-bit PCM."""
     from scipy.io import wavfile
     if sample_format == "float32":
-        wavfile.write(path, w.sample_rate_hz, w.samples.astype(np.float32))
+        data = w.samples.astype(np.float32)
     elif sample_format == "int16":
-        scaled = np.clip(np.rint(w.samples * INT16_SCALE), -32768, 32767)
-        wavfile.write(path, w.sample_rate_hz, scaled.astype(np.int16))
+        data = np.clip(np.rint(w.samples * INT16_SCALE), -32768, 32767).astype(np.int16)
     else:
         raise DataError(f"unknown WAV sample format {sample_format!r}")
+    buffer = io.BytesIO()
+    wavfile.write(buffer, w.sample_rate_hz, data)
+    write_atomic((path, buffer.getvalue()))

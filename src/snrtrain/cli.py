@@ -14,17 +14,17 @@ import sys
 import numpy as np
 
 from . import experiments, features, pem, wer
-from .audio import (CLEAN, NoisePool, Waveform, measure_snr_db, mix_at_snr,
-                    mixing_gain, read_wav, sample_segment_offset, segment_at,
-                    write_wav)
+from .audio import (CLEAN, NoisePool, Waveform, condition_key, measure_snr_db,
+                    mix_at_snr, mixing_gain, read_wav, sample_segment_offset,
+                    segment_at, write_wav)
 from .curriculum import Decision
-from .errors import ComputeError, DataError, read_text, write_atomic
+from .errors import ComputeError, DataError, write_atomic
 from .noise import NoiseSpec, generate_pink
 from .seeding import derived_rng
 
 
 def cmd_mix(args) -> int:
-    target = wer.condition_key(args.snr)
+    target = condition_key(args.snr)
     signal = read_wav(args.in_path)
     if args.noise == "pink":
         pool_wave = generate_pink(NoiseSpec("pink", len(signal),
@@ -87,8 +87,7 @@ def cmd_score(args) -> int:
     hyps = wer.read_transcripts(args.hyp)
     if args.by_condition:
         points = wer.wer_by_condition(refs, hyps)
-        baseline = (None if args.baseline is None
-                    else wer.parse_report_values(read_text(args.baseline)))
+        baseline = None if args.baseline is None else wer.read_baseline(args.baseline)
         report = wer.format_report(
             points, wer.aggregate_ranges(points, prose_full=args.prose_full),
             baseline, args.baseline or "")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import CLEAN
+from .audio import CLEAN, condition_key, condition_order
 from .errors import DataError, check_keys, field_value, read_text
 
 DEFAULT_SNR_GRID: tuple = tuple(float(v) for v in range(0, 55, 5))
@@ -35,17 +35,13 @@ DEFAULT_MAX_EPOCHS = {"multicondition": 150, "accan": 300, "accan_reversed": 300
 
 
 def _validate_grid(grid) -> tuple:
-    values = tuple(grid)
+    values = tuple(condition_key(v) for v in grid)
     if not values:
         raise DataError("SNR grid must not be empty")
-    numeric = [v for v in values if v != CLEAN]
-    if any(not math.isfinite(float(v)) for v in numeric):
-        raise DataError("SNR grid values must be finite")
-    if any(float(a) >= float(b) for a, b in zip(numeric, numeric[1:])):
-        raise DataError("SNR grid must be strictly increasing")
-    if CLEAN in values and values.index(CLEAN) != len(values) - 1:
-        raise DataError("the clean sentinel may only appear at the top of the grid")
-    return tuple(float(v) if v != CLEAN else CLEAN for v in values)
+    if any(condition_order(a) >= condition_order(b) for a, b in zip(values, values[1:])):
+        raise DataError(f"SNR grid must be strictly increasing, with {CLEAN!r} "
+                        "only at the top")
+    return values
 
 
 @dataclass(frozen=True)
@@ -61,14 +57,10 @@ class Schedule:
         object.__setattr__(self, "grid", _validate_grid(self.grid))
         if self.patience < 1:
             raise DataError(f"patience must be >= 1, got {self.patience}")
-        if self.max_epochs is not None and self.max_epochs < 1:
+        if self.max_epochs is None:
+            object.__setattr__(self, "max_epochs", DEFAULT_MAX_EPOCHS[self.kind])
+        if self.max_epochs < 1:
             raise DataError(f"max_epochs must be >= 1, got {self.max_epochs}")
-
-    @property
-    def resolved_max_epochs(self) -> int:
-        if self.max_epochs is not None:
-            return self.max_epochs
-        return DEFAULT_MAX_EPOCHS[self.kind]
 
 
 def build_stages(schedule: Schedule) -> list[tuple]:
@@ -138,7 +130,7 @@ class StageController:
         else:
             self.epochs_since_improvement += 1
 
-        if self.epoch_counter >= self.schedule.resolved_max_epochs:
+        if self.epoch_counter >= self.schedule.max_epochs:
             return Decision.TERMINATE
         if self.epochs_since_improvement < self.schedule.patience:
             return Decision.CONTINUE

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, the checks that turn the
 fields or payload size of an input file into typed values or a DataError,
 the one reader of every text input file and the one writer of every file
-the toolkit makes except WAV.
+the toolkit makes.
 
 The CLI maps DataError to exit code 2 (bad input / usage) and ComputeError
 to exit code 1 (numerical failure mid-run).

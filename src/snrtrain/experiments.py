@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import trainer, wer
-from .audio import CLEAN, NoisePool, read_wav
+from .audio import CLEAN, NoisePool, format_condition, read_wav
 from .curriculum import parse_schedule_file, schedule_from_fields
 from .errors import DataError, check_keys, field_value, read_text, write_atomic
 from .noise import pink_pool_waveform
@@ -165,8 +165,7 @@ class ComparisonSpec:
 
 def _condition_label(condition) -> str:
     """A test condition as '0dB', '-5dB' or 'clean'."""
-    label = wer.format_condition(condition)
-    return label if condition == CLEAN else f"{label}dB"
+    return format_condition(condition) + ("" if condition == CLEAN else "dB")
 
 
 @dataclass

@@ -34,6 +34,8 @@ class NoiseSpec:
             raise DataError(f"noise length must be positive, got {self.length}")
         if self.target_rms <= 0:
             raise DataError(f"target RMS must be positive, got {self.target_rms}")
+        if self.seed < 0:
+            raise DataError(f"noise seed must be >= 0, got {self.seed}")
 
 
 def generate_white(spec: NoiseSpec) -> Waveform:

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audio, curriculum, features
-from .audio import NoisePool, mix_at_snr, segment_at
+from .audio import NoisePool, condition_key, format_condition, mix_at_snr, segment_at
 from .errors import ComputeError, DataError, field_value, read_text, write_atomic
 from .seeding import derive_seed, derived_rng, digest
-from .wer import condition_key, format_condition
 
 MANIFEST_HEADER = "# pem-manifest v1"
 

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import model as model_mod, pem, workers
-from .audio import NoisePool
+from .audio import NoisePool, format_condition
 from .ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from .curriculum import Decision, Schedule, StageController
 from .errors import ComputeError, DataError, write_atomic
 from .features import NormStats, normalize, write_norm_stats
 from .model import AdamState, ModelConfig, RecurrentCtcModel, adam_init, adam_step
 from .seeding import derive_seed, derived_rng, digest
-from .wer import corpus_wer, format_condition
+from .wer import corpus_wer
 
 STATE_FILE = "state.npz"
 
@@ -71,7 +71,7 @@ class TrainConfig:
                 | {"beta1": model_mod.ADAM_BETA1, "beta2": model_mod.ADAM_BETA2,
                    "adam_eps": model_mod.ADAM_EPS},
                 "schedule": [schedule.kind, [str(v) for v in schedule.grid],
-                             schedule.patience, schedule.resolved_max_epochs],
+                             schedule.patience, schedule.max_epochs],
                 "corpus": corpus_id,
                 "pool": [pool.pool_id, len(pool), pool.noise.sample_rate_hz],
             },
@@ -256,7 +256,7 @@ def train(train_corpus, dev_corpus, schedule: Schedule, pool: NoisePool,
     epochs_run = 0
     # two parts: one worker renders the next epoch while the parent trains
     runner = workers.runner(train_corpus, pool, 2)
-    end = schedule.resolved_max_epochs  # no epoch from end on is rendered
+    end = schedule.max_epochs  # no epoch from end on is rendered
     if stop_after is not None:
         end = min(end, controller.epoch_counter + stop_after)
     pending = None  # (EpochConfig, task) of the next epoch's render

@@ -11,6 +11,9 @@ are legal. Reports cover 16 test conditions (clean plus 50 dB down to
 A 14-point "full" variant (clean plus 50..-10 dB) is available behind the
 prose_full flag; the 16-point mean is the default because it is the one
 consistent with the reference range tables.
+
+Conditions are parsed and printed by snrtrain.audio. A report is read
+back only as a baseline, whose four range means read_baseline requires.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .audio import CLEAN
-from .errors import DataError, read_text, write_atomic
+from .audio import CLEAN, condition_key, condition_order, format_condition
+from .errors import DataError, field_value, read_text, write_atomic
 
 CONDITIONS: tuple = (CLEAN,) + tuple(float(v) for v in range(50, -25, -5))
 HIGH_RANGE: tuple = tuple(float(v) for v in range(50, -5, -5))
@@ -41,20 +44,6 @@ def edit_distance(ref: Sequence, hyp: Sequence) -> int:
                 current.append(1 + min(previous[j - 1], previous[j], current[-1]))
         previous = current
     return previous[-1]
-
-
-def condition_key(condition):
-    """Canonical condition key: the CLEAN sentinel or a float dB value."""
-    if condition == CLEAN:
-        return CLEAN
-    try:
-        value = float(condition)
-    except (TypeError, ValueError):
-        raise DataError(f"unknown condition {condition!r}: expected a dB value "
-                        f"or {CLEAN!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"condition {condition!r} is not a finite SNR in dB")
-    return value
 
 
 @dataclass(frozen=True)
@@ -156,23 +145,12 @@ def wer_by_condition(refs: Mapping, hyps: Mapping) -> dict:
     return {
         condition: corpus_wer(group, hyps)
         for condition, group in sorted(
-            grouped.items(), key=lambda kv: _condition_order(kv[0])
+            grouped.items(), key=lambda kv: condition_order(kv[0])
         )
     }
 
 
-def _condition_order(condition) -> float:
-    return float("inf") if condition == CLEAN else float(condition)
-
-
 # --- report format ----------------------------------------------------------
-
-
-def format_condition(condition) -> str:
-    if condition == CLEAN:
-        return CLEAN
-    value = float(condition)
-    return f"{value:g}"
 
 
 def format_report(points: Mapping, aggregates: RangeAggregates | None = None,
@@ -180,7 +158,7 @@ def format_report(points: Mapping, aggregates: RangeAggregates | None = None,
     """Aligned per-condition table plus machine-readable key=value lines."""
     table = {condition_key(c): float(w) for c, w in points.items()}
     ordered = [c for c in CONDITIONS if c in table]
-    ordered += [c for c in sorted(table, key=_condition_order, reverse=True)
+    ordered += [c for c in sorted(table, key=condition_order, reverse=True)
                 if c not in ordered]
     lines = ["condition      wer[%]"]
     for c in ordered:
@@ -195,21 +173,16 @@ def format_report(points: Mapping, aggregates: RangeAggregates | None = None,
             lines.append(f"baseline={baseline_name}")
             for name, value in aggregates.as_dict().items():
                 # a zero baseline mean has no relative change
-                if baseline.get(name, 0.0) != 0.0:
-                    gain = relative_improvement(float(baseline[name]), value)
+                if baseline[name] != 0.0:
+                    gain = relative_improvement(baseline[name], value)
                     lines.append(f"improvement[{name}]={gain:.4f}")
     return "\n".join(lines) + "\n"
 
 
-def parse_report_values(text: str) -> dict:
-    """Key=value lines of a report, e.g. {'full': 34.09, 'wer[clean]': 13.6}."""
-    values: dict = {}
-    for line in text.splitlines():
-        if "=" not in line:
-            continue
-        key, _, raw = line.partition("=")
-        try:
-            values[key.strip()] = float(raw)
-        except ValueError:
-            continue
-    return values
+def read_baseline(path) -> dict:
+    """The four range means of a by-condition report file, keyed by name; a
+    missing or malformed mean raises DataError naming the file and the key."""
+    fields = dict(line.partition("=")[::2]
+                  for line in read_text(path).splitlines() if "=" in line)
+    return {name: field_value(fields, name, float, f"the baseline report {path}")
+            for name in ("full", "high", "low", "roi")}

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written by a different route than the
 library code it checks: brute-force enumeration, fsum two-pass statistics,
-memoized recursion, periodogram regression, linear programming. Three
+memoized recursion, periodogram regression, linear programming. Four
 helpers are not oracles: `ctc_single` scores one sequence through the
 library's batched CTC so that the oracles can be compared with it,
 `file_digests` fingerprints a run directory so that two runs can be compared
-file by file, and `watch_generation` records every epoch a run generates.
+file by file, `watch_generation` records every epoch a run generates, and
+`parse_report_values` reads every key=value line of a score report.
 """
 
 import hashlib
@@ -267,3 +268,18 @@ def rounding_consistent_slack(rounded, published, linear_map, half_unit=0.05):
     if not result.success:
         raise RuntimeError(f"linear program failed: {result.message}")
     return float(result.x[-1])
+
+
+def parse_report_values(text: str) -> dict:
+    """Key=value lines of a report, e.g. {'full': 34.09, 'wer[clean]': 13.6};
+    a line whose value is not a number is skipped."""
+    values: dict = {}
+    for line in text.splitlines():
+        if "=" not in line:
+            continue
+        key, _, raw = line.partition("=")
+        try:
+            values[key.strip()] = float(raw)
+        except ValueError:
+            continue
+    return values

@@ -223,7 +223,7 @@ def test_curriculum_automaton():
     got = [controller.advance(w).value for w in trace]
     expected_decisions = helpers.simulate_patience_controller(
         trace, patience=5, num_stages=11,
-        max_epochs=schedule.resolved_max_epochs)
+        max_epochs=schedule.max_epochs)
     assert got == expected_decisions
     switch_epochs = [i + 1 for i, d in enumerate(got) if d == "switch_stage"]
     assert switch_epochs == [9, 15]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.io import wavfile
 from scipy.stats import chisquare
 
 import helpers
@@ -193,6 +194,26 @@ class TestWavIo:
         helpers.edit_byte(path, *helpers.WAV_HEADER_EDITS[edit])
         with pytest.raises(DataError, match=f"{path}: not a readable WAV file"):
             read_wav(path)
+
+    @pytest.mark.parametrize("sample_format", ["float32", "int16"])
+    def test_truncated_data_raises_data_error_naming_path(self, tmp_path,
+                                                          sample_format):
+        path = tmp_path / "cut.wav"
+        write_wav(path, seeded_noise_wave(8, n=333), sample_format)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2 + 1])  # inside the data chunk
+        with pytest.raises(DataError, match=f"{path}: not a readable WAV file: "
+                                            "WavFileWarning: Reached EOF"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("sample_format", ["float32", "int16"])
+    def test_bytes_match_scipy_direct_write(self, tmp_path, sample_format):
+        w = seeded_noise_wave(5, n=333)
+        write_wav(tmp_path / "ours.wav", w, sample_format)
+        data = (w.samples.astype(np.float32) if sample_format == "float32"
+                else np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype(np.int16))
+        wavfile.write(tmp_path / "scipy.wav", w.sample_rate_hz, data)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(DataError):

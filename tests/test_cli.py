@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from snrtrain.curriculum import Schedule, StageController
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
 from snrtrain.model import RecurrentCtcModel
 from snrtrain.task import SyntheticTask, make_corpus
-from snrtrain.wer import parse_report_values
 
 
 def run_cli(*args, cwd=None):
@@ -68,6 +68,33 @@ class TestMix:
         assert proc.returncode == 0
         np.testing.assert_allclose(read_wav(out).samples,
                                    read_wav(sig).samples, atol=1e-7)
+
+    @pytest.mark.parametrize("sample_format", ["float32", "int16"])
+    def test_truncated_input_exit_2(self, tmp_path, capsys, sample_format):
+        sig = tmp_path / "sig.wav"
+        write_wav(sig, Waveform(np.full(7403, 0.25), 16000), sample_format)
+        sig.write_bytes(sig.read_bytes()[:7403 * 2])  # inside the data chunk
+        out = tmp_path / "mix.wav"
+        assert cli.main(["mix", "--in", str(sig), "--noise", "pink", "--snr", "0",
+                         "--seed", "1", "--out", str(out)]) == 2
+        assert f"error: {sig}: not a readable WAV file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_leaves_existing_out_unchanged(self, tmp_path,
+                                                        monkeypatch):
+        sig = tmp_path / "sig.wav"
+        write_tone(sig, seed=3)
+        out = tmp_path / "mix.wav"
+        out.write_bytes(b"previous output")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["mix", "--in", str(sig), "--noise", "pink", "--snr", "0",
+                      "--seed", "1", "--out", str(out)])
+        assert out.read_bytes() == b"previous output"
 
     def test_missing_file_exit_2_names_path(self, tmp_path):
         proc = run_cli("mix", "--in", str(tmp_path / "absent.wav"),
@@ -274,7 +301,7 @@ class TestScore:
         proc = run_cli("score", "--ref", str(ref), "--hyp", str(hyp),
                        "--by-condition")
         assert proc.returncode == 0, proc.stderr
-        values = parse_report_values(proc.stdout)
+        values = helpers.parse_report_values(proc.stdout)
         full, high, low, roi = tables.PINK_RANGES["gauss_pem"]
         assert values["full"] == pytest.approx(full, abs=0.05)
         assert values["high"] == pytest.approx(high, abs=0.05)
@@ -296,7 +323,7 @@ class TestScore:
         proc = run_cli("score", "--ref", str(ref), "--hyp", str(hyp),
                        "--by-condition", "--baseline", str(baseline_report))
         assert proc.returncode == 0, proc.stderr
-        values = parse_report_values(proc.stdout)
+        values = helpers.parse_report_values(proc.stdout)
         assert values["improvement[roi]"] == pytest.approx(28.0, abs=0.2)
 
     def test_zero_baseline_range_has_no_improvement_line(self, tmp_path):
@@ -315,7 +342,7 @@ class TestScore:
                        "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text() == proc.stdout
-        values = parse_report_values(proc.stdout)
+        values = helpers.parse_report_values(proc.stdout)
         assert values["high"] > 0.0
         assert "improvement[high]" not in values
         assert {"improvement[full]", "improvement[low]",
@@ -326,7 +353,9 @@ class TestScore:
         ref, _ = build_condition_fixture(tmp_path, tables.PINK_BY_SNR,
                                          "gauss_pem")
         baseline = tmp_path / "baseline.txt"
-        baseline.write_text(line + "\n")
+        means = {"full": "30", "high": "20", "low": "90", "roi": "50"}
+        means.update([line.split("=")])
+        baseline.write_text("".join(f"{k}={v}\n" for k, v in means.items()))
         proc = run_cli("score", "--ref", str(ref), "--hyp", str(ref),
                        "--by-condition", "--baseline", str(baseline))
         assert proc.returncode == 2
@@ -334,6 +363,32 @@ class TestScore:
         assert f"baseline WER must be finite and > 0, got {value}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "improvement" not in proc.stdout
+
+    @pytest.mark.parametrize("damage,key", [("transcripts", "full"),
+                                            ("full=abc", "full"),
+                                            ("no roi", "roi")])
+    def test_baseline_without_a_range_mean_exit_2(self, tmp_path, capsys,
+                                                  damage, key):
+        ref, hyp = build_condition_fixture(tmp_path, tables.PINK_BY_SNR,
+                                           "gauss_pem")
+        baseline = tmp_path / "baseline.txt"
+        assert cli.main(["score", "--ref", str(ref), "--hyp", str(hyp),
+                         "--by-condition", "--out", str(baseline)]) == 0
+        lines = baseline.read_text().splitlines(keepends=True)
+        if damage == "transcripts":
+            baseline.write_bytes(ref.read_bytes())
+        elif damage == "full=abc":
+            baseline.write_text("".join("full=abc\n" if l.startswith("full=") else l
+                                        for l in lines))
+        else:
+            baseline.write_text("".join(l for l in lines if not l.startswith("roi=")))
+        capsys.readouterr()
+        assert cli.main(["score", "--ref", str(ref), "--hyp", str(hyp),
+                         "--by-condition", "--baseline", str(baseline)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the baseline report {baseline}" in captured.err
+        assert repr(key) in captured.err
 
     def test_out_without_by_condition_writes_the_report(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"
@@ -803,19 +858,28 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
-def importers(modules) -> set:
-    """The src/snrtrain files that import any of the top-level `modules`."""
-    found = set()
+def source_trees():
+    """(file name, parsed module) of every src/snrtrain file."""
     for path in Path(snrtrain.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def importers(modules) -> set:
+    """The src/snrtrain files that import any of the top-level `modules`;
+    a relative import names a module of the package itself, as in
+    `from .wer import x` or `from . import wer`."""
+    found = set()
+    for name, tree in source_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
             else:
                 continue
-            if any(name.split(".")[0] in modules for name in names):
-                found.add(path.name)
+            if any(module.split(".")[0] in modules for module in names):
+                found.add(name)
     return found
 
 
@@ -826,6 +890,17 @@ def test_only_workers_imports_process_machinery():
 
 def test_only_seeding_imports_hashlib():
     assert importers({"hashlib"}) == {"seeding.py"}
+
+
+def test_snr_conditions_are_defined_once_in_audio():
+    defined = [(name, node.name) for name, tree in source_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and node.name in {"condition_key", "format_condition",
+                                 "condition_order"}]
+    assert sorted(defined) == [("audio.py", "condition_key"),
+                               ("audio.py", "condition_order"),
+                               ("audio.py", "format_condition")]
+    assert not {"pem.py", "curriculum.py"} & importers({"wer"})
 
 
 def test_import_loads_no_scipy():

@@ -26,6 +26,13 @@ class TestSchedule:
         with pytest.raises(DataError):
             Schedule("accan", grid=(0.0, 5.0, 5.0))
 
+    # (0.0, 5.0, 5.0) and (CLEAN, 0.0) are the two tests around this one
+    @pytest.mark.parametrize("grid", [("x",), (0.0, None), (0.0, float("nan")),
+                                      (CLEAN, CLEAN)])
+    def test_malformed_grid_rejected(self, grid):
+        with pytest.raises(DataError):
+            Schedule("accan", grid=grid)
+
     def test_clean_only_grid_allowed(self):
         schedule = Schedule("multicondition", grid=(CLEAN,))
         assert build_stages(schedule) == [(CLEAN,)]
@@ -35,8 +42,8 @@ class TestSchedule:
             Schedule("multicondition", grid=(CLEAN, 0.0))
 
     def test_default_epoch_caps(self):
-        assert Schedule("multicondition").resolved_max_epochs == 150
-        assert Schedule("accan").resolved_max_epochs == 300
+        assert Schedule("multicondition").max_epochs == 150
+        assert Schedule("accan").max_epochs == 300
 
 
 class TestBuildStages:
@@ -109,7 +116,7 @@ class TestController:
             controller = StageController(schedule)
             expected = helpers.simulate_patience_controller(
                 trace, patience=5, num_stages=11,
-                max_epochs=schedule.resolved_max_epochs)
+                max_epochs=schedule.max_epochs)
             got = []
             for wer in trace:
                 got.append(controller.advance(wer).value)
@@ -203,7 +210,7 @@ class TestScheduleFile:
         schedule = parse_schedule_file(path)
         assert schedule.kind == "accan_reversed"
         assert schedule.grid == DEFAULT_SNR_GRID
-        assert schedule.resolved_max_epochs == 300
+        assert schedule.max_epochs == 300
 
     @pytest.mark.parametrize("fields", [
         {"kind": "accan", "snr_min": 0, "snr_max": 50, "snr_step": 5,

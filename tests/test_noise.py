@@ -18,6 +18,8 @@ def test_spec_validation():
         NoiseSpec("pink", 0, 16000)
     with pytest.raises(DataError):
         NoiseSpec("pink", 100, 16000, target_rms=0.0)
+    with pytest.raises(DataError, match="noise seed must be >= 0, got -5"):
+        NoiseSpec("pink", 100, 16000, seed=-5)
 
 
 def test_kind_mismatch_rejected():

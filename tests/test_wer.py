@@ -6,9 +6,8 @@ import reference_wer_tables as tables
 from snrtrain.errors import DataError
 from snrtrain.wer import (CONDITIONS, aggregate_ranges, condition_of_id,
                           corpus_wer, edit_distance, format_report,
-                          parse_report_values, read_transcripts,
-                          relative_improvement, wer_by_condition,
-                          write_transcripts)
+                          read_transcripts, relative_improvement,
+                          wer_by_condition, write_transcripts)
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
 
@@ -169,7 +168,7 @@ class TestReport:
         points = tables.points_for(tables.PINK_BY_SNR, "gauss_pem")
         agg = aggregate_ranges(points)
         text = format_report(points, agg)
-        values = parse_report_values(text)
+        values = helpers.parse_report_values(text)
         assert values["full"] == pytest.approx(agg.full, abs=1e-4)
         assert values["roi"] == pytest.approx(agg.roi, abs=1e-4)
         assert values["wer[clean]"] == pytest.approx(13.6, abs=1e-4)
@@ -179,8 +178,8 @@ class TestReport:
         points = tables.points_for(tables.PINK_BY_SNR, "gauss_pem")
         agg = aggregate_ranges(points)
         base_points = tables.points_for(tables.PINK_BY_SNR, "noisy_baseline")
-        base_values = parse_report_values(
+        base_values = helpers.parse_report_values(
             format_report(base_points, aggregate_ranges(base_points)))
         text = format_report(points, agg, base_values, "noisy-baseline")
-        values = parse_report_values(text)
+        values = helpers.parse_report_values(text)
         assert values["improvement[roi]"] == pytest.approx(28.0, abs=0.2)
