@@ -174,13 +174,17 @@ def read_wav(path) -> Waveform:
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / INT16_SCALE
     elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signaling NaN, refused below
+            samples = data.astype(np.float64)
     else:
         raise DataError(
             f"{path}: unsupported WAV sample format {data.dtype}; "
             "use 16-bit PCM or 32-bit float"
         )
-    return Waveform(samples, int(rate))
+    try:
+        return Waveform(samples, int(rate))
+    except DataError as err:  # a non-finite sample or a rate of 0
+        raise DataError(f"{path}: {err}") from None
 
 
 def write_wav(path, w: Waveform, sample_format: str = "float32") -> None:

@@ -1,4 +1,4 @@
-"""Command-line surface: mix, featurize, train, score.
+"""Command-line surface: mix, featurize, train, compare, score.
 
 Exit codes: 0 success, 1 computational failure, 2 usage or input error.
 All commands that draw randomness take an explicit seed; nothing reads the
@@ -79,6 +79,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def cmd_compare(args) -> int:
+    spec, out_dir = experiments.read_comparison(args.config)
+    result = experiments.run_comparison(spec, out_dir, progress=print)
+    accan, multi = (result.low_snr_mean(m) for m in ("accan", "multicondition"))
+    at_0 = {method: outcome.mean_wer(0.0) for method, outcome in result.outcomes.items()}
+    print("", *result.summary_lines(), "", sep="\n")
+    print(f"curriculum vs multicondition at low SNR: {accan:.2f} vs {multi:.2f} "
+          f"({'parity within slack' if accan <= multi + 2 else 'WORSE'})")
+    print(f"clean-only at 0 dB: {at_0['clean_only']:.2f} (trained models better by "
+          f"{at_0['clean_only'] - at_0['accan']:.1f} / "
+          f"{at_0['clean_only'] - at_0['multicondition']:.1f} points)")
+    print(f"out_dir={out_dir}")
+    return 0
+
+
 def cmd_score(args) -> int:
     if not args.by_condition and (args.baseline is not None or args.prose_full):
         flag = "--baseline" if args.baseline is not None else "--prose-full"
@@ -123,6 +138,10 @@ file formats (byte-exact):
               and optional features / trainer sections; schedule holds the
               schedule file's keys or is a path to a schedule text file. An
               unknown key at the top level or in any section exits 2.
+  comparison  JSON with key out_dir and optional keys seeds (a nonempty list
+              of integers), num_train, num_dev, num_test, hidden_size,
+              patience, learning_rate; each (seed, method) job is an
+              experiment file <out_dir>/<method>-s<seed>/experiment.json.
 """
 
 
@@ -165,6 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--stop-after", type=int, default=None, metavar="N",
                          help="checkpoint and exit after N epochs (resume later)")
     p_train.set_defaults(func=cmd_train)
+
+    p_compare = sub.add_parser("compare", help="train and score a curriculum comparison")
+    p_compare.add_argument("--config", required=True, metavar="JSON")
+    p_compare.set_defaults(func=cmd_compare)
 
     p_score = sub.add_parser("score", help="score hypotheses against references")
     p_score.add_argument("--ref", required=True)

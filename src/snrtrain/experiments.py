@@ -1,9 +1,11 @@
 """Experiment configs, and the directional comparison built from them.
 
 run_experiment trains the experiment file that `snrtrain train --config`
-names, resuming a run saved in its run directory. run_comparison trains
-curriculum, multi-condition and clean-only models per seed on the
-synthetic tone task: it writes each job's experiment file to
+names, resuming a run saved in its run directory; read_comparison reads
+the comparison file that `snrtrain compare --config` names, through the
+same JSON reader and field checks. run_comparison trains curriculum,
+multi-condition and clean-only models per seed on the synthetic tone
+task: it writes each job's experiment file to
 <out_dir>/<method>-s<seed>/experiment.json, trains it from that file
 through run_experiment, and scores the models at low test SNRs in pink
 noise. The expected ordering at 0 and -5 dB is curriculum <=
@@ -80,15 +82,22 @@ def _pool_from_config(section: dict, base_dir: str, sample_rate_hz: int) -> Nois
     raise DataError(f"unknown noise kind {kind!r}; use 'pink' or 'wav'")
 
 
-def _load_run_config(path) -> dict:
-    """The experiment config in a JSON file, its sections checked, or
-    DataError naming the file; a missing file raises FileNotFoundError."""
+def _read_json_object(path) -> dict:
+    """The JSON object in a file, or DataError naming the file; a missing
+    file raises FileNotFoundError."""
     try:
         config = json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise DataError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(config, dict):
         raise DataError(f"{path}: expected a JSON object")
+    return config
+
+
+def _load_run_config(path) -> dict:
+    """The experiment config in a JSON file, its sections checked, or
+    DataError naming the file; a missing file raises FileNotFoundError."""
+    config = _read_json_object(path)
     check_keys(config, ("master_seed", "out_dir", "corpus", "noise", "schedule",
                         "features", "trainer"), path)
     for key in ("master_seed", "out_dir", "corpus", "noise", "schedule"):
@@ -163,6 +172,29 @@ class ComparisonSpec:
     pool_seed: int = 77
 
 
+# the ComparisonSpec fields a comparison file may set besides seeds; the
+# rest keep the spec's defaults
+_COMPARISON_KEYS = {"num_train": int, "num_dev": int, "num_test": int,
+                    "hidden_size": int, "patience": int, "learning_rate": float}
+
+
+def read_comparison(path):
+    """The comparison in the JSON file `path` (`snrtrain compare --config`):
+    (ComparisonSpec, out_dir), its out_dir resolved against the file's
+    directory, or DataError naming the file."""
+    fields = _read_json_object(path)
+    check_keys(fields, ("out_dir", "seeds", *_COMPARISON_KEYS), path)
+    out_dir = os.path.join(os.path.dirname(os.path.abspath(path)),
+                           field_value(fields, "out_dir", str, path))
+    settings = {key: field_value(fields, key, kind, path)
+                for key, kind in _COMPARISON_KEYS.items() if key in fields}
+    seeds = fields.get("seeds", list(ComparisonSpec.seeds))
+    if not isinstance(seeds, list) or not seeds:
+        raise DataError(f"{path}: 'seeds' must be a nonempty JSON list, got {seeds!r}")
+    seeds = tuple(field_value({"seeds": seed}, "seeds", int, path) for seed in seeds)
+    return ComparisonSpec(seeds=seeds, **settings), out_dir
+
+
 def _condition_label(condition) -> str:
     """A test condition as '0dB', '-5dB' or 'clean'."""
     return format_condition(condition) + ("" if condition == CLEAN else "dB")
@@ -189,15 +221,13 @@ class ComparisonResult:
         return sum(self.outcomes[method].mean_wer(c) for c in conditions) / len(conditions)
 
     def summary_lines(self) -> list:
-        lines = ["method            " + "".join(
-            f"{_condition_label(c):>10s}" for c in self.spec.test_snrs) + f"{'mean':>10s}"]
+        conditions = self.spec.test_snrs
+        lines = [f"{'method':<18s}" + "".join(
+            f"{_condition_label(c):>10s}" for c in conditions) + f"{'mean':>10s}"]
         for method in METHODS:
-            outcome = self.outcomes[method]
-            row = f"{method:<18s}"
-            for c in self.spec.test_snrs:
-                row += f"{outcome.mean_wer(c):10.2f}"
-            row += f"{self.low_snr_mean(method):10.2f}"
-            lines.append(row)
+            wers = [self.outcomes[method].mean_wer(c) for c in conditions]
+            wers.append(self.low_snr_mean(method))
+            lines.append(f"{method:<18s}" + "".join(f"{w:10.2f}" for w in wers))
         return lines
 
 
@@ -226,8 +256,8 @@ def _job_config(spec: ComparisonSpec, seed: int, method: str) -> dict:
 
 def run_comparison(spec: ComparisonSpec, out_dir, progress=None) -> ComparisonResult:
     """Train every (seed, method) job of spec under out_dir, resuming any
-    job saved there (a job directory holding another experiment raises
-    DataError), and score each on spec.test_snrs. `progress`, if given,
+    job saved there (a job whose saved training is of another experiment
+    raises DataError), and score each on spec.test_snrs. `progress`, if given,
     is called with one line after each job."""
     test_corpus = make_corpus(SyntheticTask(), spec.num_test,
                               derive_seed(spec.corpus_seed, "test"), id_prefix="test")
@@ -239,9 +269,11 @@ def run_comparison(spec: ComparisonSpec, out_dir, progress=None) -> ComparisonRe
             os.makedirs(job_dir, exist_ok=True)
             path = os.path.join(job_dir, "experiment.json")
             text = json.dumps(config, indent=2) + "\n"
-            # refused before the file is overwritten; the saved state's
-            # fingerprint would refuse the changed job only after
-            if os.path.exists(path) and read_text(path) != text:
+            # refused before the file is overwritten when the job has saved
+            # training, whose fingerprint would refuse the changed job only
+            # after; a job refused before it saved anything is overwritten
+            if (os.path.exists(os.path.join(job_dir, trainer.STATE_FILE))
+                    and read_text(path) != text):
                 raise DataError(f"{path} holds another experiment; refusing to resume")
             write_atomic((path, text.encode()))
             result, pool, _ = run_experiment(path)

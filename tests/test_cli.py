@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import helpers
 import reference_wer_tables as tables
 import snrtrain
-from snrtrain import cli
+from snrtrain import cli, experiments
 from snrtrain.audio import Waveform, read_wav, write_wav
 from snrtrain.curriculum import Schedule, StageController
+from snrtrain.experiments import METHODS, ComparisonSpec, run_comparison
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
 from snrtrain.model import RecurrentCtcModel
 from snrtrain.task import SyntheticTask, make_corpus
@@ -113,6 +115,17 @@ class TestMix:
                          "--seed", "1", "--out", str(out)]) == 2
         assert f"error: {sig}: not a readable WAV file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rate,sample,reason", [
+        (16000, np.nan, "waveform contains non-finite samples"),
+        (0, 0.1, "sample rate must be positive, got 0")])
+    def test_invalid_wav_content_exit_2_names_path(self, tmp_path, capsys,
+                                                    rate, sample, reason):
+        sig = tmp_path / "sig.wav"
+        wavfile.write(sig, rate, np.full(800, sample, dtype=np.float32))
+        assert cli.main(["mix", "--in", str(sig), "--noise", "pink", "--snr", "0",
+                         "--seed", "1", "--out", str(tmp_path / "out.wav")]) == 2
+        assert capsys.readouterr().err == f"error: {sig}: {reason}\n"
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_snr_exit_2_names_value(self, tmp_path, target):
@@ -761,6 +774,80 @@ class TestTrainCommand:
         assert "status=terminated" in proc.stdout
 
 
+def write_compare_config(tmp_path, **fields):
+    """A one-seed comparison of tiny jobs into tmp_path/cmp; `fields` replace
+    or add keys."""
+    config = {"out_dir": "cmp", "seeds": [1], "num_train": 8, "num_dev": 4,
+              "num_test": 4, "hidden_size": 8, "patience": 1, **fields}
+    path = tmp_path / "compare.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestCompareCommand:
+    def test_prints_the_comparison_and_trains_its_jobs(self, tmp_path, capsys,
+                                                        monkeypatch):
+        config = write_compare_config(tmp_path)
+        assert cli.main(["compare", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == \
+            [f"seed 1 {method}" for method in METHODS]
+        assert lines[4].split() == ["method", "0dB", "-5dB", "mean"]
+        assert [line.split()[0] for line in lines[5:8]] == list(METHODS)
+        assert lines[9].startswith("curriculum vs multicondition at low SNR: ")
+        assert lines[10].startswith("clean-only at 0 dB: ")
+        assert lines[11:] == [f"out_dir={tmp_path / 'cmp'}"]
+        spec = ComparisonSpec(num_train=8, num_dev=4, num_test=4, hidden_size=8,
+                              seeds=(1,), patience=1)
+        run_comparison(spec, tmp_path / "direct")
+        digests = helpers.file_digests(tmp_path / "cmp")
+        assert digests == helpers.file_digests(tmp_path / "direct")
+
+        generated = helpers.watch_generation(monkeypatch)
+        assert cli.main(["compare", "--config", str(config)]) == 0
+        assert generated == []  # every job is finished and trains 0 epochs
+        assert capsys.readouterr().out == out
+        assert helpers.file_digests(tmp_path / "cmp") == digests
+
+    def test_absent_keys_keep_the_spec_defaults(self, tmp_path):
+        path = tmp_path / "compare.json"
+        path.write_text(json.dumps({"out_dir": "../cmp"}))
+        assert experiments.read_comparison(path) == \
+            (ComparisonSpec(), os.path.join(str(tmp_path), "../cmp"))
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"out_dir": "cmp", "seed": 1}',
+         "unknown key 'seed' in {path}; expected one of out_dir, seeds, "
+         "num_train, num_dev, num_test, hidden_size, patience, learning_rate"),
+        ('{"seeds": [1]}', "{path} needs the key 'out_dir'"),
+        ('{"out_dir": "cmp", "seeds": "1,2"}',
+         "{path}: 'seeds' must be a nonempty JSON list, got '1,2'"),
+        ('{"out_dir": "cmp", "seeds": []}',
+         "{path}: 'seeds' must be a nonempty JSON list, got []"),
+        ('{"out_dir": "cmp", "seeds": [1, "x"]}',
+         "'seeds' in {path} must be an integer, got 'x'"),
+        ('{"out_dir": "cmp", "seeds": [1]', "{path}: invalid JSON: "),
+    ])
+    def test_bad_config_exit_2_writes_nothing(self, tmp_path, capsys, text, message):
+        path = tmp_path / "compare.json"
+        path.write_text(text)
+        assert cli.main(["compare", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path))
+        assert err.count("\n") == 1
+        assert not (tmp_path / "cmp").exists()
+
+    def test_refused_job_leaves_the_directory_usable(self, tmp_path, capsys):
+        # the job's experiment file is written before its corpus is refused
+        config = write_compare_config(tmp_path, num_train=0)
+        assert cli.main(["compare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: corpus size must be >= 1, got 0\n"
+        assert (tmp_path / "cmp" / "accan-s1" / "experiment.json").exists()
+        config = write_compare_config(tmp_path)
+        assert cli.main(["compare", "--config", str(config)]) == 0
+
+
 UNDECODABLE = b"\x00\xff\xfe"
 
 
@@ -772,10 +859,11 @@ def command_args(command, path, tmp_path):
         "featurize": ["featurize", "--in", path, "--out", str(tmp_path / "x.feat")],
         "score": ["score", "--ref", path, "--hyp", path],
         "train": ["train", "--config", path],
+        "compare": ["compare", "--config", path],
     }[command]
 
 
-@pytest.mark.parametrize("command", ["mix", "featurize", "score", "train"])
+@pytest.mark.parametrize("command", ["mix", "featurize", "score", "train", "compare"])
 def test_directory_input_exit_2_names_path(tmp_path, capsys, command):
     adir = tmp_path / "adir"
     adir.mkdir()
@@ -783,7 +871,7 @@ def test_directory_input_exit_2_names_path(tmp_path, capsys, command):
     assert f"error: Is a directory: {adir}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["mix", "featurize", "score", "train"])
+@pytest.mark.parametrize("command", ["mix", "featurize", "score", "train", "compare"])
 def test_missing_input_keeps_file_not_found_message(tmp_path, capsys, command):
     absent = tmp_path / "absent"
     assert cli.main(command_args(command, str(absent), tmp_path)) == 2
@@ -841,6 +929,18 @@ def test_help_documents_the_clean_grid(capsys):
         "              kind, snr_min, snr_max, snr_step (or \"grid = clean\" for the\n"
         "              clean-only grid), patience, max_epochs.\n"
     ) in capsys.readouterr().out
+
+
+def test_help_documents_the_comparison_format(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    assert "compare" in out.split("file formats")[0]
+    assert (
+        "  comparison  JSON with key out_dir and optional keys seeds (a nonempty list\n"
+        "              of integers), num_train, num_dev, num_test, hidden_size,\n"
+        "              patience, learning_rate;"
+    ) in out
 
 
 def test_usage_error_exit_2():

@@ -4,7 +4,8 @@ Each case writes one valid input, then feeds a reader, or a CLI command,
 the seeded mutations of its bytes that `mutations` yields: byte flips, byte
 sets, cuts, insertions, digit swaps and sign swaps, unfiltered, so the test
 sees the same inputs on every run. Anything but a parse or DataError (for a
-command: exit 0 or 2) fails and names the mutation.
+command: exit 0 or 2) fails and names the mutation, and so does a
+RuntimeWarning, such as numpy's on a cast of a signaling NaN.
 """
 
 import json
@@ -22,6 +23,8 @@ from snrtrain.model import load_checkpoint
 from snrtrain.pem import EpochManifest
 from snrtrain.wer import read_baseline, read_transcripts
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 KINDS = ("flip", "set", "cut", "insert", "digit", "sign")
 PER_CASE = 100
 
@@ -32,6 +35,8 @@ TINY_RUN = {
     "schedule": {"kind": "multicondition", "patience": 1, "max_epochs": 1},
     "trainer": {"hidden_size": 4, "batch_size": 2},
 }
+COMPARISON = {"out_dir": "cmp", "seeds": [1, 2], "num_train": 8, "num_dev": 4,
+              "num_test": 4, "hidden_size": 8, "patience": 1, "learning_rate": 0.002}
 SCHEDULE = "kind = accan\nsnr_min = -5\nsnr_max = 20\nsnr_step = 5\npatience = 2\n"
 TRANSCRIPTS = "u1@0 a b c\nu2@-5 d a\nu1@clean b\n"
 REPORT = ("condition      wer[%]\nclean           13.60\n\nwer[clean]=13.6000\n"
@@ -125,6 +130,13 @@ def experiment(tmp_path, tiny_run, monkeypatch):
     return path, lambda: experiments.run_experiment(path)
 
 
+def comparison(tmp_path, tiny_run, monkeypatch):
+    # the reader only: a mutation that drops a size would train a full spec
+    path = tmp_path / "compare.json"
+    path.write_text(json.dumps(COMPARISON))
+    return path, lambda: experiments.read_comparison(path)
+
+
 def state(tmp_path, tiny_run, monkeypatch, command=False):
     config, run_dir = tiny_run
     copy = tmp_path / "tiny"
@@ -163,6 +175,7 @@ CASES = {
     "cli_featurize": wav("int16", "featurize"),
     "cli_score": score,
     "cli_train": lambda *args: state(*args, command=True),
+    "comparison": comparison,
 }
 
 
