@@ -6,9 +6,11 @@ Example:
 """
 
 import argparse
+import math
 import sys
 
 from snrtrain.audio import write_wav
+from snrtrain.errors import DataError
 from snrtrain.noise import NoiseSpec, generate_noise
 
 
@@ -24,9 +26,15 @@ def main(argv=None) -> int:
                         default="float32")
     args = parser.parse_args(argv)
 
-    spec = NoiseSpec(args.kind, int(round(args.seconds * args.sample_rate)),
-                     args.sample_rate, target_rms=args.rms, seed=args.seed)
-    write_wav(args.out, generate_noise(spec), args.format)
+    try:
+        if not (math.isfinite(args.seconds) and args.seconds > 0):
+            raise DataError(f"--seconds must be finite and > 0, got {args.seconds:g}")
+        spec = NoiseSpec(args.kind, int(round(args.seconds * args.sample_rate)),
+                         args.sample_rate, target_rms=args.rms, seed=args.seed)
+        write_wav(args.out, generate_noise(spec), args.format)
+    except DataError as err:  # exit 2 with one line, as the snrtrain CLI does
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(f"wrote {args.kind} noise: {args.seconds:g}s at {args.sample_rate} Hz, "
           f"rms {args.rms:g} -> {args.out}")
     return 0

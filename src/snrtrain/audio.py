@@ -160,8 +160,9 @@ def read_wav(path) -> Waveform:
     """Read a mono WAV file (16-bit PCM or 32-bit float) to normalized reals.
     A file that is not a well-formed WAV raises DataError naming the path."""
     from scipy.io import wavfile
-    try:
-        with warnings.catch_warnings():  # scipy only warns on data cut short
+    try:  # data cut short is refused; a skipped chunk warns once the file is accepted
+        with warnings.catch_warnings(record=True) as skipped:
+            warnings.simplefilter("always")
             warnings.filterwarnings("error", "Reached EOF", wavfile.WavFileWarning)
             rate, data = wavfile.read(path)
     except OSError:
@@ -171,20 +172,19 @@ def read_wav(path) -> Waveform:
                         f"{type(err).__name__}: {err}") from None
     if data.ndim != 1:
         raise DataError(f"{path}: only mono WAV is supported, got {data.ndim} channels")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / INT16_SCALE
-    elif data.dtype in (np.float32, np.float64):
-        with np.errstate(invalid="ignore"):  # a signaling NaN, refused below
-            samples = data.astype(np.float64)
-    else:
-        raise DataError(
-            f"{path}: unsupported WAV sample format {data.dtype}; "
-            "use 16-bit PCM or 32-bit float"
-        )
+    if data.dtype not in (np.int16, np.float32, np.float64):
+        raise DataError(f"{path}: unsupported WAV sample format {data.dtype}; "
+                        "use 16-bit PCM or 32-bit float")
+    scale = INT16_SCALE if data.dtype == np.int16 else 1.0
+    with np.errstate(invalid="ignore"):  # a signaling NaN, refused below
+        samples = data.astype(np.float64) / scale
     try:
-        return Waveform(samples, int(rate))
+        waveform = Waveform(samples, int(rate))
     except DataError as err:  # a non-finite sample or a rate of 0
         raise DataError(f"{path}: {err}") from None
+    for w in skipped:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return waveform
 
 
 def write_wav(path, w: Waveform, sample_format: str = "float32") -> None:

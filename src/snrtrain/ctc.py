@@ -1,11 +1,12 @@
 """CTC loss, gradient, and best-path decoding over a character alphabet.
 
 The loss is the negative log probability of all frame-level alignments
-(with blanks) that collapse to the target sequence. It is computed in log
-space by one forward (alpha) and one backward (beta) recursion over the
-blank-extended target; the state posterior gamma comes from that same
-alpha and beta. The gradient is taken with respect to pre-softmax logits,
-so its rows sum to zero. Blank occupies the last output index.
+(with blanks) that collapse to the target sequence, in log space. One
+recursion, alpha, runs over the blank-extended targets of the items and of
+their reversals (frames last to first, labels backwards): beta is alpha of
+the reversal, and the state posterior gamma comes from alpha and beta. The
+gradient is taken with respect to pre-softmax logits, so its rows sum to
+zero. Blank occupies the last output index.
 
 A training batch is scored in one pass: `ctc_loss_and_grad` takes log-probs
 padded to (T, B, K) with K = symbols + 1, the frame count T_i of each item
@@ -21,6 +22,7 @@ sequence is scored as a batch with B = 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +61,6 @@ class LabelAlphabet:
         return [self.symbols[i] for i in indices]
 
 
-def _check_labels(labels, num_outputs: int) -> list[int]:
-    labels = [int(y) for y in labels]
-    blank = num_outputs - 1
-    if any(y < 0 or y >= blank for y in labels):
-        raise DataError(f"label indices must lie in [0, {blank}), got {labels}")
-    return labels
-
-
 def ctc_loss_and_grad(log_probs, lengths, labels):
     """Losses and logit gradients of a padded batch in one pass.
 
@@ -87,63 +81,64 @@ def ctc_loss_and_grad(log_probs, lengths, labels):
         raise DataError(f"need one frame count in [1, {max_t}] and one label "
                         f"list per item, got {lengths} and {len(labels)} lists")
     lengths = lengths.astype(np.int64)
-    labels = [_check_labels(y, num_outputs) for y in labels]
+    blank = num_outputs - 1
+    labels = [[int(v) for v in y] for y in labels]
+    for y in labels:
+        if any(v < 0 or v >= blank for v in y):
+            raise DataError(f"label indices must lie in [0, {blank}), got {y}")
     valid = np.arange(max_t)[:, None] < lengths
-    row_mass = np.logaddexp.reduce(log_probs[valid], axis=1)
+    with np.errstate(invalid="ignore"):  # a NaN row is refused below
+        row_mass = np.logaddexp.reduce(log_probs[valid], axis=1)
     if np.any(~(np.abs(row_mass) <= 1e-6)):  # NaN fails too
         raise DataError("log-prob rows must normalize to 1 (log-sum-exp 0 +/- 1e-6)")
 
-    # blank-extended targets; padded states read column K, which is -inf
-    blank = num_outputs - 1
-    ext = np.array([2 * len(y) + 1 for y in labels])
+    # blank-extended targets of each item, then of each item's labels
+    # reversed; padded states read column K, which is -inf
+    rows = labels + [y[::-1] for y in labels]
+    ext = np.array([2 * len(y) + 1 for y in rows])
     states = int(ext.max())
-    z = np.full((batch, states), num_outputs)
-    for i, y in enumerate(labels):
+    z = np.full((2 * batch, states), num_outputs)
+    for i, y in enumerate(rows):
         z[i, : ext[i]] = blank
         z[i, 1 : ext[i] : 2] = y
     # a skip z[s-2] -> z[s] is legal when z[s] is a fresh non-blank label
-    skip_ok = np.zeros((batch, states), dtype=bool)
+    skip_ok = np.zeros((2 * batch, states), dtype=bool)
     skip_ok[:, 2:] = (z[:, 2:] < blank) & (z[:, 2:] != z[:, :-2])
-    skip_from = np.zeros_like(skip_ok)
-    skip_from[:, :-2] = skip_ok[:, 2:]
 
-    # frames past T_i emit -inf too, whatever they hold (nan and inf too)
+    # frames past T_i emit -inf too, whatever they hold (nan and inf too);
+    # rows [B, 2B) are the items run backwards from their own last frame
     padded = np.full((max_t, batch, num_outputs + 1), NEG_INF)
     padded[:, :, :num_outputs] = np.where(valid[:, :, None], log_probs, NEG_INF)
     items = np.arange(batch)
-    emit = padded[:, items[:, None], z]
+    back = np.maximum(lengths - 1 - np.arange(max_t)[:, None], 0)
+    both = np.concatenate(
+        [padded, np.where(valid[:, :, None], padded[back, items], NEG_INF)], axis=1)
+    emit = both[:, np.arange(2 * batch)[:, None], z]
 
     # alpha: two leading -inf columns stand for the states before s = 0
-    alpha = np.full((max_t, batch, states + 2), NEG_INF)
+    alpha = np.full((max_t, 2 * batch, states + 2), NEG_INF)
     alpha[0, :, 2:4] = emit[0, :, :2]
     for t in range(1, max_t):
         prev = alpha[t - 1]
         acc = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
-        acc = np.where(skip_ok, np.logaddexp(acc, prev[:, :-2]), acc)
-        alpha[t, :, 2:] = emit[t] + acc
-    alpha = alpha[:, :, 2:]
+        np.logaddexp(acc, prev[:, :-2], out=acc, where=skip_ok)
+        np.add(emit[t], acc, out=alpha[t, :, 2:])
+    alpha, emit, z, ext = alpha[:, :, 2:], emit[:, :batch], z[:batch], ext[:batch]
 
+    # beta[t, i, s], the log mass of completing from s at frame t (emission
+    # at t included), is reversed item i's alpha at T_i-1-t and ext_i-1-s
+    rev = np.maximum(ext[:, None] - 1 - np.arange(states), 0)
+    beta = np.where(valid[:, :, None] & (np.arange(states) < ext[:, None]),
+                    alpha[back[:, :, None], batch + items[:, None], rev], NEG_INF)
     last = alpha[lengths - 1, items]
     tail = last[items, ext - 1]
     tail = np.where(ext > 1, np.logaddexp(tail, last[items, np.maximum(ext - 2, 0)]),
                     tail)
 
-    # beta[t, s]: log mass of completing from s at frame t, emission at t
-    # included. It starts at each item's last frame from its final two states.
-    final = np.arange(states) >= (ext - 2)[:, None]
-    starts = final & (np.arange(max_t)[:, None, None] == lengths[:, None] - 1)
-    beta = np.full((max_t + 1, batch, states + 2), NEG_INF)
-    for t in range(max_t - 1, -1, -1):
-        nxt = beta[t + 1]
-        acc = np.logaddexp(nxt[:, :-2], nxt[:, 1:-1])
-        acc = np.where(skip_from, np.logaddexp(acc, nxt[:, 2:]), acc)
-        beta[t, :, :-2] = np.where(starts[t], emit[t], emit[t] + acc)
-    beta = beta[:max_t, :, :-2]
-
     # padded states, frames past T_i and items without an alignment give
     # nan; they land in column K, in rows past T_i or in a dropped item
     with np.errstate(invalid="ignore"):
-        occupancy = alpha + beta - emit - tail[:, None]
+        occupancy = alpha[:, :batch] + beta - emit - tail[:, None]
     gamma = np.zeros_like(padded)
     np.add.at(gamma, (slice(None), items[:, None], z), np.exp(occupancy))
     # exp reads -inf in frames past T_i, never what log_probs holds there;
@@ -161,11 +156,5 @@ def best_path_decode(log_probs: np.ndarray) -> list[int]:
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     blank = log_probs.shape[1] - 1
-    path = np.argmax(log_probs, axis=1)
-    out: list[int] = []
-    previous = -1
-    for idx in path:
-        if idx != previous and idx != blank:
-            out.append(int(idx))
-        previous = idx
-    return out
+    path = itertools.groupby(np.argmax(log_probs, axis=1))
+    return [int(idx) for idx, _ in path if idx != blank]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import trainer, wer
 from .audio import CLEAN, NoisePool, format_condition, read_wav
-from .curriculum import parse_schedule_file, schedule_from_fields
+from .curriculum import Schedule, parse_schedule_file, schedule_from_fields
 from .errors import DataError, check_keys, field_value, read_text, write_atomic
 from .noise import pink_pool_waveform
 from .seeding import derive_seed
@@ -192,7 +192,16 @@ def read_comparison(path):
     if not isinstance(seeds, list) or not seeds:
         raise DataError(f"{path}: 'seeds' must be a nonempty JSON list, got {seeds!r}")
     seeds = tuple(field_value({"seeds": seed}, "seeds", int, path) for seed in seeds)
-    return ComparisonSpec(seeds=seeds, **settings), out_dir
+    spec = ComparisonSpec(seeds=seeds, **settings)
+    try:  # the jobs' own rules, applied before any job directory is made
+        for key in ("num_train", "num_dev", "num_test"):
+            if getattr(spec, key) < 1:
+                raise DataError(f"{key!r} must be >= 1, got {getattr(spec, key)}")
+        trainer.TrainConfig(0, spec.learning_rate, hidden_size=spec.hidden_size)
+        Schedule("accan", patience=spec.patience)
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
+    return spec, out_dir
 
 
 def _condition_label(condition) -> str:

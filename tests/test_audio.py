@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -194,6 +196,19 @@ class TestWavIo:
         helpers.edit_byte(path, *helpers.WAV_HEADER_EDITS[edit])
         with pytest.raises(DataError, match=f"{path}: not a readable WAV file"):
             read_wav(path)
+
+    def test_unknown_chunk_reads_and_warns(self, tmp_path):
+        path = tmp_path / "extra.wav"
+        w = seeded_noise_wave(8, n=333)
+        write_wav(path, w, "float32")
+        raw = path.read_bytes()  # a "junk" chunk after the fmt chunk
+        end = 20 + struct.unpack("<I", raw[16:20])[0]
+        raw = raw[:end] + b"junk" + struct.pack("<I", 4) + b"abcd" + raw[end:]
+        path.write_bytes(raw[:4] + struct.pack("<I", len(raw) - 8) + raw[8:])
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            back = read_wav(path)
+        assert back.samples.tobytes() == w.samples.astype(np.float32).astype(
+            np.float64).tobytes()
 
     @pytest.mark.parametrize("sample_format", ["float32", "int16"])
     def test_truncated_data_raises_data_error_naming_path(self, tmp_path,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import snrtrain
 from snrtrain import cli, experiments
 from snrtrain.audio import Waveform, read_wav, write_wav
 from snrtrain.curriculum import Schedule, StageController
+from snrtrain.errors import DataError
 from snrtrain.experiments import METHODS, ComparisonSpec, run_comparison
 from snrtrain.features import FEATURE_DIM, read_feature_file, write_feature_file
 from snrtrain.model import RecurrentCtcModel
@@ -115,6 +117,17 @@ class TestMix:
                          "--seed", "1", "--out", str(out)]) == 2
         assert f"error: {sig}: not a readable WAV file" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_malformed_wav_prints_one_error_line(self, tmp_path):
+        # scipy's warning on the chunk it cannot read is not passed on
+        sig = tmp_path / "sig.wav"
+        write_tone(sig, seed=6)
+        helpers.edit_byte(sig, *helpers.WAV_HEADER_EDITS["fmt_size"])
+        proc = run_cli("mix", "--in", str(sig), "--noise", "pink", "--snr", "0",
+                       "--seed", "1", "--out", str(tmp_path / "out.wav"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {sig}: not a readable WAV file")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("rate,sample,reason", [
         (16000, np.nan, "waveform contains non-finite samples"),
@@ -611,6 +624,18 @@ class TestTrainCommand:
         assert proc.returncode == 0, proc.stderr
         assert "status=stopped" in proc.stdout
 
+    @pytest.mark.parametrize("flag,value", [("--seconds", "0"), ("--seconds", "nan"),
+                                            ("--seconds", "inf"), ("--rms", "-1"),
+                                            ("--seed", "-1")])
+    def test_noise_script_refusal_exit_2(self, tmp_path, flag, value):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_noise_wav.py"
+        out = tmp_path / "pool.wav"
+        proc = subprocess.run([sys.executable, str(script), str(out), "--seed", "1",
+                               f"{flag}={value}"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("layout", ["controller_log_lines",
                                         "three_lists"])
     def test_state_in_line_format_exit_2(self, tmp_path, layout):
@@ -828,6 +853,14 @@ class TestCompareCommand:
         ('{"out_dir": "cmp", "seeds": [1, "x"]}',
          "'seeds' in {path} must be an integer, got 'x'"),
         ('{"out_dir": "cmp", "seeds": [1]', "{path}: invalid JSON: "),
+        ('{"out_dir": "cmp", "num_train": 0}', "{path}: 'num_train' must be >= 1, got 0"),
+        ('{"out_dir": "cmp", "num_dev": 0}', "{path}: 'num_dev' must be >= 1, got 0"),
+        ('{"out_dir": "cmp", "num_test": 0}', "{path}: 'num_test' must be >= 1, got 0"),
+        ('{"out_dir": "cmp", "hidden_size": 0}',
+         "{path}: 'hidden_size' must be >= 1, got 0"),
+        ('{"out_dir": "cmp", "patience": 0}', "{path}: patience must be >= 1, got 0"),
+        ('{"out_dir": "cmp", "learning_rate": -1}',
+         "{path}: 'learning_rate' must be finite and > 0, got -1.0"),
     ])
     def test_bad_config_exit_2_writes_nothing(self, tmp_path, capsys, text, message):
         path = tmp_path / "compare.json"
@@ -838,14 +871,15 @@ class TestCompareCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "cmp").exists()
 
-    def test_refused_job_leaves_the_directory_usable(self, tmp_path, capsys):
-        # the job's experiment file is written before its corpus is refused
-        config = write_compare_config(tmp_path, num_train=0)
-        assert cli.main(["compare", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == "error: corpus size must be >= 1, got 0\n"
-        assert (tmp_path / "cmp" / "accan-s1" / "experiment.json").exists()
-        config = write_compare_config(tmp_path)
-        assert cli.main(["compare", "--config", str(config)]) == 0
+    def test_refused_job_leaves_the_directory_usable(self, tmp_path):
+        # the job's experiment file is written before its training finds the
+        # noise pool shorter than an utterance
+        spec = ComparisonSpec(num_train=8, num_dev=4, num_test=4, hidden_size=8,
+                              seeds=(1,), patience=1)
+        with pytest.raises(DataError, match="shorter than longest utterance"):
+            run_comparison(dataclasses.replace(spec, pool_seconds=0.1), tmp_path)
+        assert (tmp_path / "accan-s1" / "experiment.json").exists()
+        run_comparison(spec, tmp_path)
 
 
 UNDECODABLE = b"\x00\xff\xfe"

@@ -11,6 +11,8 @@ from helpers import ctc_single
 from snrtrain.ctc import LabelAlphabet, best_path_decode, ctc_loss_and_grad
 from snrtrain.errors import DataError
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def log_softmax(logits):
     logits = np.asarray(logits, dtype=np.float64)
@@ -210,6 +212,21 @@ def ragged_batch(rng, batch, num_outputs, max_t):
     return log_probs, lengths, labels
 
 
+def training_batch(rng):
+    """A batch shaped like a PEM training batch of the tone task: 16 items,
+    5 outputs, 60-85 frames and 1-5 labels, some repeated; the padded frames
+    hold nan, and one item has too many repeats to align."""
+    lengths = rng.integers(60, 86, size=16)
+    log_probs = np.full((int(lengths.max()), 16, 5), np.nan)
+    for i, n in enumerate(lengths):
+        log_probs[:n, i] = random_log_probs(rng, n, 5)
+    labels = [[int(v) for v in rng.integers(0, 4, size=int(rng.integers(1, 6)))]
+              for _ in range(16)]
+    labels[0] = [1, 1, 2, 2, 2]
+    labels[5] = [3] * (int(lengths[5]) // 2 + 2)  # k repeats need 2k - 1 > T_5 frames
+    return log_probs, lengths, labels
+
+
 class TestBatch:
     def test_items_equal_single_calls_and_enumeration(self):
         rng = np.random.default_rng(17)
@@ -237,8 +254,9 @@ class TestBatch:
 
     def test_long_items_equal_scalar_loops(self):
         rng = np.random.default_rng(19)
-        for batch in (2, 7, 16):
-            log_probs, lengths, labels = ragged_batch(rng, batch, 6, 40)
+        batches = [ragged_batch(rng, batch, 6, 40) for batch in (2, 7, 16)]
+        batches += [training_batch(rng) for _ in range(3)]
+        for log_probs, lengths, labels in batches:
             losses, grads = ctc_loss_and_grad(log_probs, lengths, labels)
             for i, (n, y) in enumerate(zip(lengths, labels)):
                 loss, grad = helpers.loop_ctc_loss_and_grad(log_probs[:n, i], y)
